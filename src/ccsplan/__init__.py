@@ -26,7 +26,7 @@ from .builder import (
     extract_plan,
     scenario_config,
 )
-from .dataio import DataError, load, load_validated, toy_nation_path, write_results
+from .dataio import DataError, load, load_validated, toy_nation_path, write_results, write_sweep
 from .domain import (
     GlobalParams,
     Horizon,

@@ -18,11 +18,11 @@ from .domain import (
     NUM_TECH,
     TECH_ORDER,
     ModelInstance,
-    TechKind,
     ValidationError,
+    alpha_errors,
     distance,
 )
-from .lp import GE, LE, LinearProgram, LpSolution, Row, Status
+from .lp import LE, LinearProgram, LpSolution, Row, Status
 
 EQUAL_YEARLY = "equal_yearly"
 TOTAL_ONLY = "total_only"
@@ -236,9 +236,9 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
     # per-year power-mix resilience rows
     if config.resilience_enabled:
         alpha = instance.globals.alpha
-        total = sum(alpha.get(k, 0.0) for k in TECH_ORDER)
-        if abs(total - 1.0) > 1e-9 or any(alpha.get(k, 0.0) <= 0 for k in TECH_ORDER):
-            raise ValidationError([f"globals.alpha: alpha sums to {total:g}"])
+        errors = alpha_errors(alpha)
+        if errors:
+            raise ValidationError(errors)
         for t in range(T):
             year = instance.horizon.year_of(t + 1)
             for k, kind in enumerate(TECH_ORDER):

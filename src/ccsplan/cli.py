@@ -6,6 +6,7 @@ The CCSPLAN_DATA environment variable supplies a default --data directory.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import analytics, dataio, engine
 from .builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
-from .domain import ValidationError, validate_instance
+from .domain import ValidationError
 from .engine import ScenarioError
 
 OBJECTIVE_MODES = {"cost": COST_ONLY, "max-reduction": MAX_REDUCTION_LEX}
@@ -68,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=float, required=True, help="grid end")
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 1)")
     p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default="cost")
-    p.add_argument("--jobs", type=int, default=None, help="parallel workers (default: cpu count)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="print the summary of a written result bundle")
@@ -151,62 +151,21 @@ def cmd_sweep(parser, args) -> int:
     config = scenario_config(args.scenario, objective_mode=OBJECTIVE_MODES[args.objective])
     grid = np.linspace(args.lo, args.hi, args.steps) if args.steps > 1 else np.array([args.lo])
     try:
-        result = engine.sweep(
-            instance, config, SWEEP_PARAMS[args.param], grid.tolist(), jobs=args.jobs
-        )
+        result = engine.sweep(instance, config, SWEEP_PARAMS[args.param], grid.tolist())
     except ValueError as exc:
         parser.error(str(exc))
-
-    os.makedirs(args.out, exist_ok=True)
-    from .dataio import _fmt, _round9
-    import json
-
-    lines = ["param_value,reduction_pct,objective,any_trading"]
-    succeeded = 0
+    dataio.write_sweep(result, args.out, args.scenario, config.objective_mode)
     for p in result.points:
         if p.error is not None:
-            lines.append(f"{_fmt(p.value)},error,error,error")
             print(f"point {p.value:g}: {p.error}", file=sys.stderr)
-            continue
-        succeeded += 1
-        lines.append(
-            f"{_fmt(p.value)},{_fmt(p.reduction_pct)},{_fmt(p.objective_value)},{str(p.any_trading).lower()}"
-        )
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    summary = {
-        "parameter": result.parameter,
-        "scenario": args.scenario,
-        "objective_mode": OBJECTIVE_MODES[args.objective],
-        "grid": result.grid,
-        "threshold": result.threshold,
-        "monotone": result.monotone,
-        "points": [
-            {
-                "value": p.value,
-                "reduction_pct": p.reduction_pct,
-                "objective": p.objective_value,
-                "any_trading": p.any_trading,
-                "total_re_gw": p.total_re_gw,
-                "total_ccs_t": p.total_ccs_t,
-                "error": p.error,
-            }
-            for p in result.points
-        ],
-    }
-    with open(os.path.join(args.out, "summary.json"), "w", newline="\n") as fh:
-        json.dump(_round9(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     if not result.monotone:
         print("warning: reduction_pct is not non-decreasing along the grid", file=sys.stderr)
     if result.threshold is not None:
         print(f"jump threshold detected at {result.threshold:g}")
-    return 0 if succeeded >= 1 else 1
+    return 0 if any(p.error is None for p in result.points) else 1
 
 
 def cmd_report(parser, args) -> int:
-    import json
-
     path = os.path.join(args.results, "summary.json")
     if not os.path.exists(path):
         print(f"error: no summary.json under {args.results}", file=sys.stderr)

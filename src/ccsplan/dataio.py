@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +24,9 @@ from .domain import (
     ModelInstance,
     Region,
     RegionTech,
-    TechKind,
     validate_instance,
 )
-from .engine import ScenarioResult
+from .engine import ScenarioResult, SweepResult
 
 REQUIRED_FILES = ("globals.json", "regions.csv", "tech.csv")
 MASS_FACTORS = {"t": 1.0, "kt": 1e3, "Mt": 1e6}
@@ -258,6 +256,12 @@ def _write_lines(path: Path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_summary(path: Path, summary: dict):
+    with open(path, "w", newline="\n") as fh:
+        json.dump(_round9(summary), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_results(result: ScenarioResult, out_path, scenario_id: int | None = None):
     """Write the full result bundle for one solved scenario.
 
@@ -338,13 +342,14 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         )
     _write_lines(out / "plotdata" / "fig14.csv", lines)
 
+    ccs = result.plan.ccs_of_region()
     lines = ["year,region,solar_gw,wind_gw,ccs_t"]
     for t, year in enumerate(years):
         for i, region in enumerate(inst.regions):
             lines.append(
                 f"{year},{region.id},{_fmt(result.plan.re_installed[i, 0, t])},"
                 f"{_fmt(result.plan.re_installed[i, 1, t])},"
-                f"{_fmt(result.plan.ccs_of_region()[i, t])}"
+                f"{_fmt(ccs[i, t])}"
             )
     _write_lines(out / "plotdata" / "deployment.csv", lines)
 
@@ -369,9 +374,48 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         "total_ccs_t": float(result.plan.ccs_local.sum() + result.plan.ccs_traded.sum()),
         "cumulative_net_yen": float(cum[-1]),
     }
-    with open(out / "summary.json", "w", newline="\n") as fh:
-        json.dump(_round9(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_summary(out / "summary.json", summary)
+    return out
+
+
+def write_sweep(result: SweepResult, out_path, scenario_id: int, objective_mode: str):
+    """Write the bundle of one price sweep: sweep.csv and summary.json.
+
+    A failed point keeps its row in sweep.csv, with `error` in every column
+    but the parameter value; summary.json carries its error message.
+    """
+    out = Path(out_path)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["param_value,reduction_pct,objective,any_trading"]
+    for p in result.points:
+        if p.error is not None:
+            lines.append(f"{_fmt(p.value)},error,error,error")
+        else:
+            lines.append(
+                f"{_fmt(p.value)},{_fmt(p.reduction_pct)},{_fmt(p.objective_value)},{str(p.any_trading).lower()}"
+            )
+    _write_lines(out / "sweep.csv", lines)
+    summary = {
+        "parameter": result.parameter,
+        "scenario": scenario_id,
+        "objective_mode": objective_mode,
+        "grid": result.grid,
+        "threshold": result.threshold,
+        "monotone": result.monotone,
+        "points": [
+            {
+                "value": p.value,
+                "reduction_pct": p.reduction_pct,
+                "objective": p.objective_value,
+                "any_trading": p.any_trading,
+                "total_re_gw": p.total_re_gw,
+                "total_ccs_t": p.total_ccs_t,
+                "error": p.error,
+            }
+            for p in result.points
+        ],
+    }
+    _write_summary(out / "summary.json", summary)
     return out
 
 

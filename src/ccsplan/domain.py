@@ -5,7 +5,7 @@ Canonical units throughout: tonnes CO2, GW, GWh, yen, km, years.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -167,6 +167,23 @@ def _as_series(values, T, path, errors):
     return arr
 
 
+def _check_scalar(value, path, errors):
+    if not math.isfinite(value):
+        errors.append(f"{path}: non-finite value {value!r}")
+    elif value < 0:
+        errors.append(f"{path}: negative value {value!r}")
+
+
+def alpha_errors(alpha: dict) -> list:
+    """Violations of the mix rule's shares: each positive, summing to 1."""
+    total = sum(alpha.get(k, 0.0) for k in TECH_ORDER)
+    errors = [] if abs(total - 1.0) <= 1e-9 else [f"globals.alpha: alpha sums to {total:g}"]
+    for k in TECH_ORDER:
+        if not alpha.get(k, 0.0) > 0:
+            errors.append(f"globals.alpha[{k.value}]: must be > 0 when resilience is enabled")
+    return errors
+
+
 def validate_instance(raw: ModelInstance, *, resilience: bool = False) -> ModelInstance:
     """Check every invariant of the data contract and return a canonical copy.
 
@@ -208,19 +225,16 @@ def validate_instance(raw: ModelInstance, *, resilience: bool = False) -> ModelI
 
     alpha = {k: float(g.alpha.get(k, 0.0)) for k in TECH_ORDER}
     if resilience:
-        total = sum(alpha.values())
-        if abs(total - 1.0) > 1e-9:
-            errors.append(f"globals.alpha: alpha sums to {total:g}")
-        for k in TECH_ORDER:
-            if alpha[k] <= 0:
-                errors.append(f"globals.alpha[{k.value}]: must be > 0 when resilience is enabled")
+        errors.extend(alpha_errors(alpha))
 
     regions = []
     for r in raw.regions:
-        if r.baseline_emissions < 0:
-            errors.append(f"regions[{r.id}].baseline_emissions: negative value {r.baseline_emissions!r}")
-        if r.ccs_capacity < 0:
-            errors.append(f"regions[{r.id}].ccs_capacity: negative value {r.ccs_capacity!r}")
+        _check_scalar(r.baseline_emissions, f"regions[{r.id}].baseline_emissions", errors)
+        _check_scalar(r.ccs_capacity, f"regions[{r.id}].ccs_capacity", errors)
+        if r.location is not None:
+            for name, value, limit in zip(("lat", "lon"), r.location, (90.0, 180.0)):
+                if not abs(value) <= limit:
+                    errors.append(f"regions[{r.id}].location.{name}: {value!r} outside [-{limit:g}, {limit:g}]")
         tech = {}
         for k in TECH_ORDER:
             rt = r.tech.get(k)
@@ -230,10 +244,8 @@ def validate_instance(raw: ModelInstance, *, resilience: bool = False) -> ModelI
             path = f"regions[{r.id}].tech[{k.value}]"
             gs = _as_series(rt.g, T, f"{path}.g", errors)
             rps = _as_series(rt.rp, T, f"{path}.rp", errors)
-            if rt.h < 0:
-                errors.append(f"{path}.h: negative value {rt.h!r}")
-            if rt.potential < 0:
-                errors.append(f"{path}.potential: negative value {rt.potential!r}")
+            _check_scalar(rt.h, f"{path}.h", errors)
+            _check_scalar(rt.potential, f"{path}.potential", errors)
             tech[k] = RegionTech(g=gs, rp=rps, h=float(rt.h), potential=float(rt.potential))
         regions.append(
             Region(

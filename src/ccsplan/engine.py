@@ -1,25 +1,21 @@
 """Scenario runs, the lexicographic maximum-reduction mode, and price sweeps."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .builder import (
     COST_ONLY,
     MAX_REDUCTION_LEX,
-    NUM_TECH,
     DeploymentPlan,
     ScenarioConfig,
-    VariableIndex,
     assemble,
     extract_plan,
     offset_vector,
     scenario_config,
 )
-from .domain import TECH_ORDER, ModelInstance
+from .domain import TECH_ORDER, ModelInstance, ValidationError
 from .lp import GE, LinearProgram, Row, Status, violated_rows
 from .simplex import SolverSettings, solve
 
@@ -117,33 +113,22 @@ def run_scenario(
     scenario constraints; stage 2 minimises cost among the (near-)maximisers.
     """
     settings = settings or SolverSettings()
-    lp, index = assemble(instance, config)
+    try:
+        lp, index = assemble(instance, config)
+    except ValidationError as exc:
+        raise ScenarioError(str(exc)) from exc
     stats = {}
 
     if config.objective_mode == MAX_REDUCTION_LEX:
         off = offset_vector(instance, index)
-        lp1 = LinearProgram(
-            num_vars=lp.num_vars,
-            objective=-off,
-            rows=lp.rows,
-            lower=lp.lower,
-            upper=lp.upper,
-            var_names=lp.var_names,
-        )
+        lp1 = replace(lp, objective=-off)
         sol1 = solve(lp1, settings)
         _raise_for_status(lp1, sol1)
         max_offset = -sol1.objective_value
         floor = max_offset * (1.0 - LEX_EPS)
         nz = np.nonzero(off)[0]
         lex_row = Row(idx=nz, val=off[nz], sense=GE, rhs=floor, name="lex_reduction")
-        lp2 = LinearProgram(
-            num_vars=lp.num_vars,
-            objective=lp.objective,
-            rows=list(lp.rows) + [lex_row],
-            lower=lp.lower,
-            upper=lp.upper,
-            var_names=lp.var_names,
-        )
+        lp2 = replace(lp, rows=lp.rows + [lex_row])
         sol = solve(lp2, settings)
         _raise_for_status(lp2, sol)
         achieved = float(off @ sol.x)
@@ -204,7 +189,6 @@ def sweep(
     parameter: str,
     grid,
     delta_pp: float = 1.0,
-    jobs: int | None = None,
     settings: SolverSettings | None = None,
 ) -> SweepResult:
     """One scenario run per grid value with the parameter's whole series
@@ -232,9 +216,7 @@ def sweep(
         point.total_ccs_t = float(res.plan.ccs_local.sum() + res.plan.ccs_traded.sum())
         return point
 
-    workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        points = list(pool.map(one, grid))
+    points = [one(v) for v in grid]
 
     threshold = None
     monotone = True

@@ -1,9 +1,12 @@
+import csv
 import json
+import re
 
 import pytest
 
 from ccsplan.cli import main
-from ccsplan.dataio import toy_nation_path
+from ccsplan.dataio import load_validated, toy_nation_path
+from ccsplan.domain import ValidationError
 
 from test_dataio import write_mini_dataset
 
@@ -67,6 +70,74 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def _set_first_row(path, column, value):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = value
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "file, column, value, field",
+    [
+        ("regions.csv", "C0_tonnes", "nan", "regions[north].baseline_emissions"),
+        ("regions.csv", "ccs_capacity_tonnes", "inf", "regions[north].ccs_capacity"),
+        ("regions.csv", "lat", "nan", "regions[north].location.lat"),
+        ("regions.csv", "lon", "200", "regions[north].location.lon"),
+        ("tech.csv", "h_gwh_per_gw", "nan", "regions[north].tech[solar].h"),
+        ("tech.csv", "potential_gw", "inf", "regions[north].tech[solar].potential"),
+    ],
+)
+def test_non_finite_input_is_validation_error(tmp_path, capsys, file, column, value, field):
+    write_mini_dataset(tmp_path)
+    _set_first_row(tmp_path / file, column, value)
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        load_validated(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--data", str(tmp_path)])
+    assert exc.value.code == 1
+    assert field in capsys.readouterr().err
+
+
+def _bad_alpha_dataset(root):
+    root.mkdir()
+    write_mini_dataset(root)
+    conf = json.loads((root / "globals.json").read_text())
+    conf["alpha"] = {"solar": 0.31, "wind": 0.68}
+    (root / "globals.json").write_text(json.dumps(conf))
+    return str(root)
+
+
+def test_bad_alpha_fails_only_mix_rule_scenarios(tmp_path, capsys):
+    data = _bad_alpha_dataset(tmp_path / "d")
+    code = main(["solve", "--data", data, "--scenario", "2", "--out", str(tmp_path / "one")])
+    assert code == 1
+    assert "scenario 2: globals.alpha: alpha sums to 0.99" in capsys.readouterr().err
+    code = main(["run-all", "--data", data, "--objective", "cost", "--out", str(tmp_path / "all")])
+    assert code == 1
+    for sid in (1, 3):
+        assert (tmp_path / "all" / f"s{sid}" / "summary.json").exists()
+    for sid in (2, 4):
+        assert not (tmp_path / "all" / f"s{sid}").exists()
+    assert capsys.readouterr().out.count("optimal") == 2
+
+
+def test_bad_alpha_is_recorded_per_sweep_point(tmp_path, capsys):
+    data = _bad_alpha_dataset(tmp_path / "d")
+    code = main([
+        "sweep", "--data", data, "--scenario", "2", "--param", "carbon-price",
+        "--from", "1", "--to", "2", "--steps", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1  # no point succeeded
+    assert (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:] == ["1,error,error,error", "2,error,error,error"]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert all(p["error"] == "globals.alpha: alpha sums to 0.99" for p in summary["points"])
+    assert capsys.readouterr().err.count("alpha sums to 0.99") == 2
+
+
 def test_run_all_writes_four_bundles(tmp_path, capsys):
     code = main(["run-all", "--data", DATA, "--objective", "cost", "--out", str(tmp_path)])
     assert code == 0
@@ -83,12 +154,15 @@ def test_sweep_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(base + ["--from", "1", "--to", "5", "--steps", "0", "--out", "/tmp/x"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # sweep points always run one after another
+        main(base + ["--from", "1", "--to", "5", "--steps", "2", "--jobs", "1", "--out", "/tmp/x"])
+    assert exc.value.code == 2
 
 
 def test_sweep_writes_summary(tmp_path):
     code = main([
         "sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price",
-        "--from", "10000", "--to", "20000", "--steps", "2", "--jobs", "1",
+        "--from", "10000", "--to", "20000", "--steps", "2",
         "--out", str(tmp_path),
     ])
     assert code == 0

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from ccsplan.builder import COST_ONLY, scenario_config
-from ccsplan.dataio import DataError, _fmt, load, load_validated, toy_nation_path, write_results
+from ccsplan.dataio import (
+    DataError,
+    _fmt,
+    load,
+    load_validated,
+    toy_nation_path,
+    write_results,
+    write_sweep,
+)
 from ccsplan.domain import TechKind
-from ccsplan.engine import run_scenario
+from ccsplan.engine import SweepPoint, SweepResult, run_scenario
 
 from conftest import make_unit_instance
 
@@ -162,3 +170,29 @@ def test_write_results_is_byte_stable(tmp_path, unit_instance):
     write_results(res, tmp_path / "two", scenario_id=1)
     for rel in ("plan.csv", "emissions.csv", "summary.json", "plotdata/fig13.csv"):
         assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
+
+
+def test_write_sweep_rows_and_byte_stability(tmp_path):
+    good = SweepPoint(
+        value=1.5, reduction_pct=60.0000000001, objective_value=-6.0, any_trading=False,
+        total_re_gw=4.0, total_ccs_t=10.0,
+    )
+    bad = SweepPoint(value=2.0, error="infeasible; violated rows: cap[2018]")
+    result = SweepResult(
+        parameter="carbon_price", grid=[1.5, 2.0], points=[good, bad], threshold=None, monotone=True
+    )
+    write_sweep(result, tmp_path / "one", 1, COST_ONLY)
+    write_sweep(result, tmp_path / "two", 1, COST_ONLY)
+    assert (tmp_path / "one" / "sweep.csv").read_text().splitlines() == [
+        "param_value,reduction_pct,objective,any_trading",
+        "1.5,60,-6,false",
+        "2,error,error,error",
+    ]
+    summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+    assert summary["scenario"] == 1
+    assert summary["objective_mode"] == COST_ONLY
+    assert summary["points"][0]["reduction_pct"] == 60.0
+    assert summary["points"][1]["reduction_pct"] is None
+    assert summary["points"][1]["error"] == bad.error
+    for name in ("sweep.csv", "summary.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()

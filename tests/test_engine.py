@@ -85,7 +85,7 @@ def test_sweep_grid_validation(unit_instance):
 
 def test_sweep_identity_point_reproduces_baseline(unit_instance):
     base = run_scenario(unit_instance, scenario_config(1))
-    sw = sweep(unit_instance, scenario_config(1), "carbon_price", [1.0, 2.0], jobs=1)
+    sw = sweep(unit_instance, scenario_config(1), "carbon_price", [1.0, 2.0])
     assert sw.points[0].objective_value == pytest.approx(base.objective_value, rel=1e-12)
     assert sw.points[0].reduction_pct == pytest.approx(base.reduction_pct)
     assert sw.monotone
@@ -94,7 +94,7 @@ def test_sweep_identity_point_reproduces_baseline(unit_instance):
 
 def test_sweep_isolates_per_point_failures():
     inst = make_unit_instance(cap=10.0)
-    sw = sweep(inst, scenario_config(1), "carbon_price", [1.0, 2.0], jobs=1)
+    sw = sweep(inst, scenario_config(1), "carbon_price", [1.0, 2.0])
     assert all(p.error is not None for p in sw.points)
     assert all(p.reduction_pct is None for p in sw.points)
 
@@ -102,7 +102,7 @@ def test_sweep_isolates_per_point_failures():
 def test_transport_cost_sweep_monotone_objective():
     inst = make_trade_instance()
     config = scenario_config(3, nonneg_emissions=True)
-    sw = sweep(inst, config, "transport_cost", [0.0, 0.01, 0.02], jobs=1)
+    sw = sweep(inst, config, "transport_cost", [0.0, 0.01, 0.02])
     objs = [p.objective_value for p in sw.points]
     assert objs == sorted(objs)  # dearer transport can only cost more
     assert all(p.any_trading for p in sw.points)
