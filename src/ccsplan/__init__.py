@@ -48,7 +48,7 @@ from .engine import (
     run_scenario,
     sweep,
 )
-from .lp import LinearProgram, LpSolution, Row, Status, check_solution, to_mps
+from .lp import InvalidProgramError, LinearProgram, LpSolution, Row, Status, check_solution, to_mps
 from .oracle import enumerate_oracle
 from .simplex import SolverSettings, solve
 

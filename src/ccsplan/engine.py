@@ -16,7 +16,7 @@ from .builder import (
     scenario_config,
 )
 from .domain import TECH_ORDER, ModelInstance, ValidationError
-from .lp import GE, LinearProgram, Row, Status, violated_rows
+from .lp import GE, InvalidProgramError, LinearProgram, Row, Status, violated_rows
 from .simplex import SolverSettings, solve
 
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
@@ -115,7 +115,7 @@ def run_scenario(
     settings = settings or SolverSettings()
     try:
         lp, index = assemble(instance, config)
-    except ValidationError as exc:
+    except (ValidationError, InvalidProgramError) as exc:
         raise ScenarioError(str(exc)) from exc
     stats = {}
 
@@ -152,6 +152,8 @@ def run_scenario(
         status=sol.status.value,
         iterations=sol.iterations,
         max_primal_infeasibility=sol.max_primal_infeasibility,
+        factorizations=sol.factorizations,
+        phase1_iterations=sol.phase1_iterations,
         clamped=plan.clamped,
     )
     return ScenarioResult(

@@ -24,6 +24,11 @@ class Status(Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
+class InvalidProgramError(ValueError):
+    """Malformed program data: a shape mismatch, a bad bound, sense or index,
+    or a non-finite objective, coefficient or rhs."""
+
+
 @dataclass
 class Row:
     idx: np.ndarray  # variable indices
@@ -51,19 +56,26 @@ class LinearProgram:
         self.upper = np.asarray(self.upper, dtype=float)
 
     def validate(self):
+        """Raise InvalidProgramError on malformed data; the solver relies on
+        this being the only finiteness check."""
         n = self.num_vars
         if self.objective.shape != (n,) or self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("objective/bounds length mismatch with num_vars")
-        if not np.all(np.isfinite(self.lower)):
-            raise ValueError("all lower bounds must be finite")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
-            raise ValueError(f"lower > upper for variable {j}")
+            raise InvalidProgramError("objective/bounds length mismatch with num_vars")
+        for what, bad in (
+            ("objective coefficient is not finite", ~np.isfinite(self.objective)),
+            ("lower bound is not finite", ~np.isfinite(self.lower)),
+            ("upper bound is NaN", np.isnan(self.upper)),
+            ("lower > upper", self.lower > self.upper),
+        ):
+            if bad.any():
+                raise InvalidProgramError(f"variable {self.name_of(int(np.argmax(bad)))!r}: {what}")
         for r in self.rows:
             if r.sense not in SENSES:
-                raise ValueError(f"row {r.name!r}: unknown sense {r.sense!r}")
+                raise InvalidProgramError(f"row {r.name!r}: unknown sense {r.sense!r}")
             if len(r.idx) and (np.max(r.idx) >= n or np.min(r.idx) < 0):
-                raise ValueError(f"row {r.name!r}: variable index out of range")
+                raise InvalidProgramError(f"row {r.name!r}: variable index out of range")
+            if not (np.isfinite(r.rhs) and np.all(np.isfinite(r.val))):
+                raise InvalidProgramError(f"row {r.name!r}: coefficient or rhs is not finite")
         return self
 
     def matrix(self) -> sp.csr_matrix:
@@ -92,6 +104,8 @@ class LpSolution:
     iterations: int
     max_primal_infeasibility: float
     ray_var: int | None = None  # entering variable of the unbounded ray, if any
+    factorizations: int = 0  # fresh LU factorisations of the basis, both phases
+    phase1_iterations: int = 0  # iterations spent reaching feasibility
 
 
 @dataclass

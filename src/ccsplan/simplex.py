@@ -1,8 +1,16 @@
 """Two-phase bounded-variable primal simplex.
 
-Dantzig pricing with a Bland's-rule fallback after a stall threshold, ratio
-ties broken by lowest variable index, geometric-mean row/column equilibration
-before solving. Deterministic: identical inputs give bit-identical output.
+Dantzig pricing with a Bland's-rule fallback after a stall threshold, and
+geometric-mean row/column equilibration before solving. The ratio test takes
+the smallest ratio; among ratios within 1e-12 of the minimum, the lowest
+variable index leaves.
+
+The dense basis matrix is kept column by column. Its LU factorisation is
+computed at the start of each phase and after every REFACTOR_EVERY basis
+changes; in between, each basis change appends a product-form eta to the
+factorisation. OPTIMAL is only declared from a fresh factorisation: when
+pricing finds no candidate while etas are pending, the basis is refactorised
+and priced again. Deterministic: identical inputs give bit-identical output.
 """
 from __future__ import annotations
 
@@ -15,6 +23,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .lp import EQ, GE, LE, LinearProgram, LpSolution, Status, check_solution
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
+REFACTOR_EVERY = 40  # basis changes between fresh LU factorisations
 
 
 @dataclass
@@ -47,6 +56,26 @@ def _geometric_scaling(A: sp.csr_matrix, passes: int = 2):
     return rs, cs
 
 
+def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
+    """Ratio test over the basic variables moving by dxb per unit step.
+
+    Returns (step, leaving position, bound the leaver goes to), or
+    (inf, -1, AT_LOWER) when no basic variable limits the step. Smallest ratio
+    first; among ratios within 1e-12 of the minimum, the lowest variable index.
+    """
+    down = dxb < -pivot_tol
+    up = (dxb > pivot_tol) & np.isfinite(ubb)
+    lim = np.full(dxb.shape, np.inf)
+    lim[down] = np.maximum((xb[down] - lbb[down]) / -dxb[down], 0.0)
+    lim[up] = np.maximum((ubb[up] - xb[up]) / dxb[up], 0.0)
+    limiting = down | up
+    if not limiting.any():
+        return np.inf, -1, AT_LOWER
+    ties = np.nonzero(limiting & (lim <= lim[limiting].min() + 1e-12))[0]
+    p = int(ties[np.argmin(basis[ties])])
+    return float(lim[p]), p, AT_LOWER if down[p] else AT_UPPER
+
+
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
@@ -59,70 +88,79 @@ class _Loop:
         self.s = settings
         self.m = A.shape[0]
         self.iters = 0
+        self.factorizations = 0
         self.ray_var = None
+
+    def _column(self, j):
+        A = self.A
+        lo, hi = A.indptr[j], A.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[A.indices[lo:hi]] = A.data[lo:hi]
+        return col
+
+    def _factor(self, B):
+        self.factorizations += 1
+        return lu_factor(B, check_finite=False)
+
+    @staticmethod
+    def _ftran(lu, etas, r):
+        """B^-1 r for B = B0 E1 ... Ek: the LU of B0, then each eta in order."""
+        z = lu_solve(lu, r, check_finite=False)
+        for p, w in etas:
+            zp = z[p] / w[p]
+            z -= zp * w
+            z[p] = zp
+        return z
+
+    @staticmethod
+    def _btran(lu, etas, r):
+        """B^-T r: the transposed etas in reverse order, then the LU of B0."""
+        r = r.copy()
+        for p, w in reversed(etas):
+            r[p] = (r[p] - (w @ r - w[p] * r[p])) / w[p]
+        return lu_solve(lu, r, trans=1, check_finite=False)
 
     def run(self, c, basis, vstat, x):
         s = self.s
-        m = self.m
         bland = False
         stall = 0
         best_obj = np.inf
         # optimality tolerance relative to the cost magnitude: with costs of
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
         d_tol = s.opt_tol * max(1.0, float(np.abs(c).max(initial=0.0)))
+        movable = self.ub > self.lb
+        B = self.A[:, basis].toarray()
+        lu = self._factor(B)
+        etas = []  # (position, FTRAN'd entering column) per basis change since lu
         while True:
             if self.iters >= s.max_iters:
                 return Status.ITERATION_LIMIT
-            if m:
-                B = self.A[:, basis].toarray()
-                lu = lu_factor(B)
-                xx = x.copy()
-                xx[basis] = 0.0
-                x[basis] = lu_solve(lu, self.b - self.A @ xx)
-                y = lu_solve(lu, c[basis], trans=1)
-                d = c - self.AT @ y
-            else:
-                d = c.copy()
-            movable = self.ub > self.lb
+            xx = x.copy()
+            xx[basis] = 0.0
+            x[basis] = self._ftran(lu, etas, self.b - self.A @ xx)
+            y = self._btran(lu, etas, c[basis])
+            d = c - self.AT @ y
             elig = movable & (
                 ((vstat == AT_LOWER) & (d < -d_tol)) | ((vstat == AT_UPPER) & (d > d_tol))
             )
             cand = np.nonzero(elig)[0]
             if cand.size == 0:
-                return Status.OPTIMAL
+                if not etas:
+                    return Status.OPTIMAL
+                # confirm optimality on a fresh factorisation
+                lu, etas = self._factor(B), []
+                continue
             if bland:
                 q = int(cand[0])
             else:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
             sigma = 1.0 if vstat[q] == AT_LOWER else -1.0
-            if m:
-                w = lu_solve(lu, self.A[:, [q]].toarray().ravel())
-            else:
-                w = np.zeros(0)
+            a_q = self._column(q)
+            w = self._ftran(lu, etas, a_q)
             dxb = -sigma * w
-
-            # ratio test over basic variables; ties to lowest variable index
-            t_basic = np.inf
-            leave_p = -1
-            leave_to = AT_LOWER
-            for p in range(m):
-                v = basis[p]
-                if dxb[p] < -s.pivot_tol:
-                    lim = max((x[v] - self.lb[v]) / (-dxb[p]), 0.0)
-                    to = AT_LOWER
-                elif dxb[p] > s.pivot_tol:
-                    if np.isinf(self.ub[v]):
-                        continue
-                    lim = max((self.ub[v] - x[v]) / dxb[p], 0.0)
-                    to = AT_UPPER
-                else:
-                    continue
-                if lim < t_basic - 1e-12 or (
-                    abs(lim - t_basic) <= 1e-12 and (leave_p == -1 or v < basis[leave_p])
-                ):
-                    t_basic = lim
-                    leave_p = p
-                    leave_to = to
+            t_basic, leave_p, leave_to = _ratio_test(
+                dxb, x[basis], self.lb[basis], self.ub[basis], basis, s.pivot_tol
+            )
 
             t_flip = self.ub[q] - self.lb[q]
             if t_flip <= t_basic:
@@ -143,6 +181,10 @@ class _Loop:
                 vstat[v_leave] = leave_to
                 basis[leave_p] = q
                 vstat[q] = BASIC
+                B[:, leave_p] = a_q
+                etas.append((leave_p, w))
+                if len(etas) >= REFACTOR_EVERY:
+                    lu, etas = self._factor(B), []
 
             self.iters += 1
             obj = float(c @ x)
@@ -206,12 +248,9 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSoluti
     x = np.concatenate([x, np.abs(gap[art_rows])])
     vstat = np.concatenate([vstat, np.full(n_art, AT_LOWER, dtype=np.int8)])
 
-    basis = []
-    art_of_row = {int(r): n + m + a for a, r in enumerate(art_rows)}
-    for p in range(m):
-        j = art_of_row.get(p, n + p)
-        basis.append(j)
-        vstat[j] = BASIC
+    basis = n + np.arange(m)
+    basis[art_rows] = n + m + np.arange(n_art)
+    vstat[basis] = BASIC
 
     loop = _Loop(A_std, bs, lb_all, ub_all, settings)
 
@@ -225,12 +264,16 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSoluti
             iterations=loop.iters,
             max_primal_infeasibility=rep.max_violation,
             ray_var=loop.ray_var,
+            factorizations=loop.factorizations,
+            phase1_iterations=phase1_iterations,
         )
 
+    phase1_iterations = 0
     if n_art:
         c1 = np.zeros(n + m + n_art)
         c1[n + m :] = 1.0
         st = loop.run(c1, basis, vstat, x)
+        phase1_iterations = loop.iters
         if st == Status.ITERATION_LIMIT:
             return finish(Status.ITERATION_LIMIT)
         art_sum = float(np.sum(x[n + m :]))

@@ -138,6 +138,18 @@ def test_bad_alpha_is_recorded_per_sweep_point(tmp_path, capsys):
     assert capsys.readouterr().err.count("alpha sums to 0.99") == 2
 
 
+def test_overflowing_cost_is_solve_failure(tmp_path, capsys):
+    # every input is finite, but carbon price times conversion ratio overflows
+    write_mini_dataset(tmp_path)
+    conf = json.loads((tmp_path / "globals.json").read_text())
+    conf["cp"] = {"constant": 1e308}
+    (tmp_path / "globals.json").write_text(json.dumps(conf))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["solve", "--data", str(tmp_path), "--scenario", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "objective coefficient is not finite" in capsys.readouterr().err
+
+
 def test_run_all_writes_four_bundles(tmp_path, capsys):
     code = main(["run-all", "--data", DATA, "--objective", "cost", "--out", str(tmp_path)])
     assert code == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
+from ccsplan.domain import TechKind
 from ccsplan.engine import (
     InfeasibleModelError,
     ScenarioError,
@@ -106,3 +107,19 @@ def test_transport_cost_sweep_monotone_objective():
     objs = [p.objective_value for p in sw.points]
     assert objs == sorted(objs)  # dearer transport can only cost more
     assert all(p.any_trading for p in sw.points)
+
+
+def _nan_cost_instance():
+    inst = make_unit_instance()
+    inst.regions[0].tech[TechKind.SOLAR].rp = np.array([np.nan])
+    return inst
+
+
+def test_nan_in_program_is_scenario_error():
+    with pytest.raises(ScenarioError, match="objective coefficient is not finite"):
+        run_scenario(_nan_cost_instance(), scenario_config(1))
+
+
+def test_nan_in_program_is_recorded_per_sweep_point():
+    sw = sweep(_nan_cost_instance(), scenario_config(1), "carbon_price", [1.0, 2.0])
+    assert all("not finite" in p.error for p in sw.points)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from ccsplan.lp import LinearProgram, Row, check_solution, to_mps, violated_rows
+from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution, to_mps, violated_rows
 
 
 def small_lp():
@@ -92,3 +94,26 @@ def test_mps_sanitises_row_names():
     lp.rows[0].name = "cap[2018] %"
     text = to_mps(lp)
     assert "cap[2018]__" in text
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("objective", np.nan, "variable 'a': objective coefficient is not finite"),
+        ("objective", np.inf, "variable 'a': objective coefficient is not finite"),
+        ("upper", np.nan, "variable 'a': upper bound is NaN"),
+        ("lower", np.nan, "variable 'a': lower bound is not finite"),
+        ("val", np.nan, "row 'sum': coefficient or rhs is not finite"),
+        ("rhs", -np.inf, "row 'sum': coefficient or rhs is not finite"),
+    ],
+)
+def test_validate_rejects_non_finite_data(field, value, message):
+    lp = small_lp()
+    if field == "val":
+        lp.rows[0].val[0] = value
+    elif field == "rhs":
+        lp.rows[0].rhs = value
+    else:
+        getattr(lp, field)[0] = value
+    with pytest.raises(InvalidProgramError, match=re.escape(message)):
+        lp.validate()

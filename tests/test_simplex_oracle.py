@@ -5,7 +5,7 @@ import pytest
 
 from ccsplan.lp import LinearProgram, Row, Status
 from ccsplan.oracle import enumerate_oracle
-from ccsplan.simplex import SolverSettings, solve
+from ccsplan.simplex import AT_LOWER, AT_UPPER, SolverSettings, _ratio_test, solve
 
 
 def lp_of(c, A, senses, rhs, lower=None, upper=None):
@@ -89,6 +89,16 @@ def test_fixed_variables_respected():
     assert sol.x[0] == pytest.approx(2.0)
 
 
+def test_program_without_rows():
+    lp = LinearProgram(num_vars=2, objective=np.array([-1.0, 1.0]), rows=[],
+                       lower=np.zeros(2), upper=np.array([3.0, np.inf]))
+    sol = solve(lp)
+    assert sol.status == Status.OPTIMAL
+    np.testing.assert_array_equal(sol.x, [3.0, 0.0])
+    lp.upper[0] = np.inf
+    assert solve(lp).status == Status.UNBOUNDED
+
+
 def test_scaling_toggle_agrees():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -145,3 +155,113 @@ def test_randomized_oracle_agreement():
                 ora.objective_value, rel=1e-8, abs=1e-8
             )
             assert sim.max_primal_infeasibility <= 1e-6
+
+
+def ratio_candidates(dxb, xb, lbb, ubb, pivot_tol):
+    """(ratio, position, bound reached) of each basic variable that limits the step."""
+    cands = []
+    for p in range(len(dxb)):
+        if dxb[p] < -pivot_tol:
+            cands.append((max((xb[p] - lbb[p]) / -dxb[p], 0.0), p, AT_LOWER))
+        elif dxb[p] > pivot_tol and np.isfinite(ubb[p]):
+            cands.append((max((ubb[p] - xb[p]) / dxb[p], 0.0), p, AT_UPPER))
+    return cands
+
+
+def ratio_rule(dxb, xb, lbb, ubb, basis, pivot_tol):
+    """The stated rule, spelled out: smallest ratio first; among ratios within
+    1e-12 of the minimum, the lowest variable index."""
+    cands = ratio_candidates(dxb, xb, lbb, ubb, pivot_tol)
+    if not cands:
+        return np.inf, -1, AT_LOWER
+    t_min = min(c[0] for c in cands)
+    return min((c for c in cands if c[0] <= t_min + 1e-12), key=lambda c: basis[c[1]])
+
+
+def scalar_ratio_loop(dxb, x, lb, ub, basis, pivot_tol):
+    """The ratio test as the solver ran it before it was vectorised, verbatim."""
+    m = len(basis)
+    t_basic = np.inf
+    leave_p = -1
+    leave_to = AT_LOWER
+    for p in range(m):
+        v = basis[p]
+        if dxb[p] < -pivot_tol:
+            lim = max((x[v] - lb[v]) / (-dxb[p]), 0.0)
+            to = AT_LOWER
+        elif dxb[p] > pivot_tol:
+            if np.isinf(ub[v]):
+                continue
+            lim = max((ub[v] - x[v]) / dxb[p], 0.0)
+            to = AT_UPPER
+        else:
+            continue
+        if lim < t_basic - 1e-12 or (
+            abs(lim - t_basic) <= 1e-12 and (leave_p == -1 or v < basis[leave_p])
+        ):
+            t_basic = lim
+            leave_p = p
+            leave_to = to
+    return t_basic, leave_p, leave_to
+
+
+def random_ratio_case(rng, degenerate=False):
+    m = int(rng.integers(1, 30))
+    n = m + int(rng.integers(0, 20))
+    basis = rng.permutation(n)[:m]
+    lb = rng.uniform(-2.0, 1.0, n)
+    ub = np.where(rng.random(n) < 0.3, np.inf, lb + rng.uniform(0.1, 5.0, n))
+    x = lb + rng.random(n) * np.where(np.isinf(ub), 5.0, ub - lb)
+    if degenerate:  # basic variables sitting exactly on a bound: zero ratios
+        on = rng.random(n) < 0.4
+        x[on] = np.where(rng.random(n) < 0.5, lb, np.where(np.isinf(ub), lb, ub))[on]
+    dxb = rng.normal(size=m) * (rng.random(m) < 0.8)
+    dxb[rng.random(m) < 0.1] = 1e-11  # below the pivot tolerance
+    return dxb, x, lb, ub, basis
+
+
+def ratio_args(dxb, x, lb, ub, basis):
+    return dxb, x[basis], lb[basis], ub[basis], basis, 1e-10
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_ratio_test_follows_the_rule(degenerate):
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        args = ratio_args(*random_ratio_case(rng, degenerate))
+        assert _ratio_test(*args) == ratio_rule(*args)
+
+
+def test_ratio_test_near_ties_go_to_lowest_index():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        basis = rng.permutation(3 * m)[:m]
+        dxb = -np.ones(m)
+        lbb = np.zeros(m)
+        ubb = np.full(m, np.inf)
+        # ratios 1 + k * 0.3e-12 for k in 0..7: four steps of k span 0.9e-12
+        xb = 1.0 + rng.integers(0, 8, m) * 0.3e-12
+        ties = np.nonzero(xb <= xb.min() + 1e-12)[0]
+        expected = ties[np.argmin(basis[ties])]
+        assert _ratio_test(dxb, xb, lbb, ubb, basis, 1e-10) == (xb[expected], expected, AT_LOWER)
+
+
+def test_ratio_test_without_limit():
+    t, p, _ = _ratio_test(np.array([1e-11, 2.0]), np.zeros(2), np.zeros(2),
+                          np.array([1.0, np.inf]), np.array([3, 4]), 1e-10)
+    assert (t, p) == (np.inf, -1)
+
+
+def test_ratio_test_matches_scalar_loop_without_ties():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(400):
+        dxb, x, lb, ub, basis = random_ratio_case(rng)
+        args = ratio_args(dxb, x, lb, ub, basis)
+        lims = np.sort([c[0] for c in ratio_candidates(*args[:4], 1e-10)])
+        if np.any(np.diff(lims) <= 1e-12):
+            continue
+        checked += 1
+        assert _ratio_test(*args) == scalar_ratio_loop(dxb, x, lb, ub, basis, 1e-10)
+    assert checked > 300
