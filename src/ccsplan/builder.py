@@ -6,13 +6,18 @@ i in V_s). Objective coefficients fold the whole-horizon cashflow of each
 decision into a single per-variable cost; constraints are the national cap
 rows (with the emission recursion telescoped and constants moved to the
 right-hand side), storage-capacity rows, renewable-potential rows, and the
-optional per-year mix rows.
+optional per-year mix and regional non-negative-emission rows.
+
+Each row family is emitted with numpy as COO triplets straight from the
+`VariableIndex` arrays, and the families are stacked once into the program's
+`Rows` (one CSR matrix plus sense, rhs and names); no `Row` object is made.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import (
     NUM_TECH,
@@ -22,7 +27,7 @@ from .domain import (
     alpha_errors,
     distance,
 )
-from .lp import LE, LinearProgram, LpSolution, Row, Status
+from .lp import LE, LinearProgram, LpSolution, Rows, Status
 
 EQUAL_YEARLY = "equal_yearly"
 TOTAL_ONLY = "total_only"
@@ -150,143 +155,123 @@ def build_objective(instance: ModelInstance, config: ScenarioConfig, index: Vari
 
 
 def offset_vector(instance: ModelInstance, index: VariableIndex) -> np.ndarray:
-    """Tonnes of CO2 offset per unit of each decision variable."""
-    v = np.zeros(index.num_vars)
-    for i, region in enumerate(instance.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            v[index.re[i, k, :]] = region.tech[kind].g
-    for i in instance.sellers:
-        v[index.ccs_s[i, :]] = 1.0
-    for j in instance.buyers:
-        for i in instance.sellers:
-            v[index.ccs_b[j, i, :]] = 1.0
+    """Tonnes of CO2 offset per unit of each decision variable: the conversion
+    ratio g of an RE install, one tonne per tonne stored for every CCS variable."""
+    v = np.ones(index.num_vars)
+    v[index.re] = [[region.tech[kind].g for kind in TECH_ORDER] for region in instance.regions]
     return v
 
 
-def _row(coeffs: dict, sense: str, rhs: float, name: str) -> Row:
-    items = sorted(coeffs.items())
-    return Row(
-        idx=np.array([j for j, _ in items], dtype=int),
-        val=np.array([v for _, v in items], dtype=float),
-        sense=sense,
-        rhs=float(rhs),
-        name=name,
-    )
+def _potentials(instance: ModelInstance) -> np.ndarray:
+    """(n, K) remaining economic potential per region and technology."""
+    return np.array([[r.tech[kind].potential for kind in TECH_ORDER] for r in instance.regions])
 
 
-def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: VariableIndex) -> list:
+def _year_and_region(index: VariableIndex):
+    """Year position and region of every variable: the installer of an RE
+    variable, the storer of a local CCS variable, the buyer of a traded one."""
+    t_of = np.empty(index.num_vars, dtype=int)
+    i_of = np.empty(index.num_vars, dtype=int)
+    for block in (index.re, index.ccs_s, index.ccs_b):
+        used = block >= 0
+        grid = np.indices(block.shape)
+        t_of[block[used]] = grid[-1][used]
+        i_of[block[used]] = grid[0][used]
+    return t_of, i_of
+
+
+def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: VariableIndex) -> Rows:
+    """All constraint rows, every one of them `<=`. Each family is emitted as
+    COO triplets (local row, column, value) plus its rhs and names, and the
+    families are stacked once into one CSR matrix."""
     n, T = instance.n, instance.T
     _cp, _ccsp, _gt, cap, _sp = effective_globals(instance, config)
-    rows = []
-
-    # per-variable offset coefficients, reused by the cap rows
+    years = np.array(instance.horizon.years).astype(str)
+    ids = np.array([r.id for r in instance.regions])
+    kinds = np.array([kind.value for kind in TECH_ORDER])
     off = offset_vector(instance, index)
+    t_of, i_of = _year_and_region(index)
+    families = []  # (rows, cols, vals, rhs, names)
 
     # national cap rows: sum_i C_i(t) <= cap(t) with the recursion telescoped;
-    # baselines move to the rhs, offsets appear with negative sign
-    baseline = instance.baseline_total
-    cum = {}
-    for t in range(T):
-        for i in range(n):
-            for k in range(NUM_TECH):
-                j = index.re[i, k, t]
-                if off[j] != 0.0:
-                    cum[j] = -off[j]
-            j = index.ccs_s[i, t]
-            if j >= 0:
-                cum[j] = -1.0
-            for i2 in instance.sellers:
-                j = index.ccs_b[i, i2, t]
-                if j >= 0:
-                    cum[j] = -1.0
-        if np.isfinite(cap[t]):
-            year = instance.horizon.year_of(t + 1)
-            rows.append(_row(dict(cum), LE, cap[t] - baseline, f"cap[{year}]"))
+    # baselines move to the rhs, offsets of every year up to t appear with
+    # negative sign
+    cap_t = np.flatnonzero(np.isfinite(cap))
+    rr, cc = np.nonzero((t_of <= cap_t[:, None]) & (off != 0.0))
+    families.append((rr, cc, -off[cc], cap[cap_t] - instance.baseline_total, "cap[" + years[cap_t] + "]"))
 
-    # storage capacity rows (yearly equal split, or one total row per site)
-    for i in instance.sellers:
-        region = instance.regions[i]
-        if config.ccs_limit_mode == EQUAL_YEARLY:
-            yearly = region.ccs_capacity / T
-            for t in range(T):
-                coeffs = {index.ccs_s[i, t]: 1.0}
-                for j in instance.buyers:
-                    coeffs[index.ccs_b[j, i, t]] = 1.0
-                year = instance.horizon.year_of(t + 1)
-                rows.append(_row(coeffs, LE, yearly, f"ccs_cap[{region.id}][{year}]"))
-        elif config.ccs_limit_mode == TOTAL_ONLY:
-            coeffs = {}
-            for t in range(T):
-                coeffs[index.ccs_s[i, t]] = 1.0
-                for j in instance.buyers:
-                    coeffs[index.ccs_b[j, i, t]] = 1.0
-            rows.append(_row(coeffs, LE, region.ccs_capacity, f"ccs_cap[{region.id}]"))
-        else:
-            raise ValueError(f"unknown ccs_limit_mode {config.ccs_limit_mode!r}")
+    # storage capacity rows (yearly equal split, or one total row per site):
+    # local storage of each seller plus everything bought from it
+    sellers = np.array(instance.sellers, dtype=int)
+    capacity = np.array([instance.regions[i].ccs_capacity for i in sellers])
+    if config.ccs_limit_mode == EQUAL_YEARLY:
+        row_of = np.arange(len(sellers) * T).reshape(-1, T)  # (seller, t) -> local row
+        rhs = np.repeat(capacity / T, T)
+        names = "ccs_cap[" + np.repeat(ids[sellers], T) + "][" + np.tile(years, len(sellers)) + "]"
+    elif config.ccs_limit_mode == TOTAL_ONLY:
+        row_of = np.repeat(np.arange(len(sellers))[:, None], T, axis=1)
+        rhs = capacity
+        names = "ccs_cap[" + ids[sellers] + "]"
+    else:
+        raise ValueError(f"unknown ccs_limit_mode {config.ccs_limit_mode!r}")
+    traded = index.ccs_b[:, sellers, :]  # (buyer, seller, t), -1 off V_b x V_s
+    bought = traded >= 0
+    rr = np.concatenate([row_of.ravel(), np.broadcast_to(row_of, traded.shape)[bought]])
+    cc = np.concatenate([index.ccs_s[sellers].ravel(), traded[bought]])
+    families.append((rr, cc, np.ones(len(cc)), rhs, names))
 
     # renewable potential rows: total installs per region-tech bounded by the
     # remaining economic potential (zero-potential pairs are fixed via bounds)
-    for i, region in enumerate(instance.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            p = region.tech[kind].potential
-            if p > 0:
-                coeffs = {int(index.re[i, k, t]): 1.0 for t in range(T)}
-                rows.append(_row(coeffs, LE, p, f"potential[{region.id}][{kind.value}]"))
+    pot = _potentials(instance)
+    ii, kk = np.nonzero(pot > 0)
+    cc = index.re[ii, kk, :]
+    families.append((np.repeat(np.arange(len(ii)), T), cc.ravel(), np.ones(cc.size), pot[ii, kk],
+                     "potential[" + ids[ii] + "][" + kinds[kk] + "]"))
 
-    # per-year power-mix resilience rows
+    # per-year power-mix resilience rows, one per (year, tech k): the year's
+    # installs of k minus alpha_k times all of the year's installs
     if config.resilience_enabled:
         alpha = instance.globals.alpha
         errors = alpha_errors(alpha)
         if errors:
             raise ValidationError(errors)
-        for t in range(T):
-            year = instance.horizon.year_of(t + 1)
-            for k, kind in enumerate(TECH_ORDER):
-                coeffs = {}
-                for i in range(n):
-                    for k2 in range(NUM_TECH):
-                        j = int(index.re[i, k2, t])
-                        coeffs[j] = (1.0 if k2 == k else 0.0) - alpha[kind]
-                rows.append(_row(coeffs, LE, 0.0, f"mix[{kind.value}][{year}]"))
+        a = np.array([alpha[kind] for kind in TECH_ORDER])
+        shape = (T, NUM_TECH, n, NUM_TECH)  # (t, row tech k, region, column tech k2)
+        rr = np.broadcast_to(np.arange(T * NUM_TECH).reshape(T, NUM_TECH, 1, 1), shape)
+        cc = np.broadcast_to(index.re.transpose(2, 0, 1)[:, None], shape)
+        vv = np.broadcast_to(np.eye(NUM_TECH)[:, None, :] - a[:, None, None], shape)
+        families.append((rr.ravel(), cc.ravel(), vv.ravel(), np.zeros(T * NUM_TECH),
+                         "mix[" + np.tile(kinds, T) + "][" + np.repeat(years, NUM_TECH) + "]"))
 
     # optional floor on regional emissions; offsets only accumulate, so the
     # final-year row dominates all earlier years
     if config.nonneg_emissions:
-        for i, region in enumerate(instance.regions):
-            coeffs = {}
-            for t in range(T):
-                for k in range(NUM_TECH):
-                    j = index.re[i, k, t]
-                    if off[j] != 0.0:
-                        coeffs[int(j)] = off[j]
-                j = index.ccs_s[i, t]
-                if j >= 0:
-                    coeffs[int(j)] = 1.0
-                for i2 in instance.sellers:
-                    j = index.ccs_b[i, i2, t]
-                    if j >= 0:
-                        coeffs[int(j)] = 1.0
-            rows.append(_row(coeffs, LE, region.baseline_emissions, f"nonneg[{region.id}]"))
+        cc = np.flatnonzero(off)
+        baselines = np.array([r.baseline_emissions for r in instance.regions])
+        families.append((i_of[cc], cc, off[cc], baselines, "nonneg[" + ids + "]"))
 
-    return rows
+    rows, cols, vals, rhs, names = zip(*families)
+    first = np.cumsum([0] + [len(b) for b in rhs])  # global number of each family's first row
+    rr = np.concatenate([r + r0 for r, r0 in zip(rows, first)])
+    m = int(first[-1])
+    return Rows(
+        A=sp.csr_matrix((np.concatenate(vals), (rr, np.concatenate(cols))), shape=(m, index.num_vars)),
+        sense=np.full(m, LE),
+        rhs=np.concatenate(rhs).astype(float),
+        names=np.concatenate(names).tolist(),
+    )
 
 
 def assemble(instance: ModelInstance, config: ScenarioConfig):
     """LinearProgram plus its variable index for a scenario configuration."""
     index = VariableIndex(instance)
-    c = build_objective(instance, config, index)
-    rows = build_constraints(instance, config, index)
-    lower = np.zeros(index.num_vars)
     upper = np.full(index.num_vars, np.inf)
-    for i, region in enumerate(instance.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            if region.tech[kind].potential <= 0:
-                upper[index.re[i, k, :]] = 0.0
+    upper[index.re[_potentials(instance) <= 0]] = 0.0
     lp = LinearProgram(
         num_vars=index.num_vars,
-        objective=c,
-        rows=rows,
-        lower=lower,
+        objective=build_objective(instance, config, index),
+        rows=build_constraints(instance, config, index),
+        lower=np.zeros(index.num_vars),
         upper=upper,
         var_names=index.names,
     ).validate()

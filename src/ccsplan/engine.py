@@ -16,7 +16,7 @@ from .builder import (
     scenario_config,
 )
 from .domain import TECH_ORDER, ModelInstance, ValidationError
-from .lp import GE, InvalidProgramError, LinearProgram, Row, Status, violated_rows
+from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status, violated_rows
 from .simplex import SolverSettings, solve
 
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
@@ -128,7 +128,7 @@ def run_scenario(
         floor = max_offset * (1.0 - LEX_EPS)
         nz = np.nonzero(off)[0]
         lex_row = Row(idx=nz, val=off[nz], sense=GE, rhs=floor, name="lex_reduction")
-        lp2 = replace(lp, rows=lp.rows + [lex_row])
+        lp2 = replace(lp, rows=lp.rows + Rows.stack([lex_row], lp.num_vars))
         sol = solve(lp2, settings)
         _raise_for_status(lp2, sol)
         achieved = float(off @ sol.x)

@@ -2,10 +2,16 @@
 
 Minimisation sense throughout. All variable lower bounds are finite
 (non-negative in this artifact); upper bounds may be +inf.
+
+The constraint rows are stored once, as `Rows`: a CSR matrix plus a sense
+array, an rhs array and a list of row names, which every consumer reads.
+`Row` is not the storage: it is an input convenience for hand-written
+programs (a list of them is stacked into `Rows` on construction) and the
+per-row view that iterating `LinearProgram.rows` builds on demand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,21 +37,67 @@ class InvalidProgramError(ValueError):
 
 @dataclass
 class Row:
+    """One constraint row: input for hand-written programs, and the view that
+    iterating `Rows` yields (its arrays are copies of the stored slices)."""
+
     idx: np.ndarray  # variable indices
     val: np.ndarray  # matching coefficients
     sense: str
     rhs: float
     name: str = ""
 
-    def dot(self, x: np.ndarray) -> float:
-        return float(x[self.idx] @ self.val)
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The constraint rows of a program, in row order: `A` (CSR, one row per
+    constraint), `sense`, `rhs` and `names`."""
+
+    A: sp.csr_matrix
+    sense: np.ndarray
+    rhs: np.ndarray
+    names: list
+
+    @classmethod
+    def stack(cls, rows: list, num_vars: int) -> Rows:
+        """Stack a list of `Row` over `num_vars` columns (duplicate indices in
+        a row are summed)."""
+        ci = np.concatenate([np.zeros(0, dtype=int)] + [np.asarray(r.idx, dtype=int) for r in rows])
+        ri = np.repeat(np.arange(len(rows)), [len(r.idx) for r in rows])
+        bad = (ci < 0) | (ci >= num_vars)
+        if bad.any():
+            raise InvalidProgramError(f"row {rows[ri[np.argmax(bad)]].name!r}: variable index out of range")
+        val = np.concatenate([np.zeros(0)] + [np.asarray(r.val, dtype=float) for r in rows])
+        return cls(
+            A=sp.csr_matrix((val, (ri, ci)), shape=(len(rows), num_vars)),
+            sense=np.array([r.sense for r in rows], dtype=str),
+            rhs=np.array([r.rhs for r in rows], dtype=float),
+            names=[r.name for r in rows],
+        )
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
+
+    def __add__(self, other: Rows) -> Rows:
+        return Rows(
+            A=sp.vstack([self.A, other.A], format="csr"),
+            sense=np.concatenate([self.sense, other.sense]),
+            rhs=np.concatenate([self.rhs, other.rhs]),
+            names=self.names + other.names,
+        )
+
+    def __iter__(self):
+        A = self.A
+        for p in range(len(self)):
+            lo, hi = A.indptr[p], A.indptr[p + 1]
+            yield Row(A.indices[lo:hi].copy(), A.data[lo:hi].copy(), str(self.sense[p]),
+                      float(self.rhs[p]), self.names[p])
 
 
 @dataclass
 class LinearProgram:
     num_vars: int
     objective: np.ndarray
-    rows: list
+    rows: Rows  # a list of Row is stacked into Rows on construction
     lower: np.ndarray
     upper: np.ndarray
     var_names: list | None = None
@@ -54,13 +106,15 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        if not isinstance(self.rows, Rows):
+            self.rows = Rows.stack(self.rows, self.num_vars)
 
     def validate(self):
         """Raise InvalidProgramError on malformed data; the solver relies on
         this being the only finiteness check."""
-        n = self.num_vars
-        if self.objective.shape != (n,) or self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise InvalidProgramError("objective/bounds length mismatch with num_vars")
+        n, rows = self.num_vars, self.rows
+        if any(a.shape != (n,) for a in (self.objective, self.lower, self.upper)) or rows.A.shape[1] != n:
+            raise InvalidProgramError("objective/bounds/matrix length mismatch with num_vars")
         for what, bad in (
             ("objective coefficient is not finite", ~np.isfinite(self.objective)),
             ("lower bound is not finite", ~np.isfinite(self.lower)),
@@ -69,26 +123,22 @@ class LinearProgram:
         ):
             if bad.any():
                 raise InvalidProgramError(f"variable {self.name_of(int(np.argmax(bad)))!r}: {what}")
-        for r in self.rows:
-            if r.sense not in SENSES:
-                raise InvalidProgramError(f"row {r.name!r}: unknown sense {r.sense!r}")
-            if len(r.idx) and (np.max(r.idx) >= n or np.min(r.idx) < 0):
-                raise InvalidProgramError(f"row {r.name!r}: variable index out of range")
-            if not (np.isfinite(r.rhs) and np.all(np.isfinite(r.val))):
-                raise InvalidProgramError(f"row {r.name!r}: coefficient or rhs is not finite")
+        bad = ~np.isin(rows.sense, SENSES)
+        if bad.any():
+            p = int(np.argmax(bad))
+            raise InvalidProgramError(f"row {rows.names[p]!r}: unknown sense {str(rows.sense[p])!r}")
+        bad = ~np.isfinite(rows.rhs)
+        entry_row = np.repeat(np.arange(len(rows)), np.diff(rows.A.indptr))
+        bad[entry_row[~np.isfinite(rows.A.data)]] = True
+        if bad.any():
+            raise InvalidProgramError(f"row {rows.names[int(np.argmax(bad))]!r}: coefficient or rhs is not finite")
         return self
 
     def matrix(self) -> sp.csr_matrix:
-        m = len(self.rows)
-        data, ri, ci = [], [], []
-        for p, r in enumerate(self.rows):
-            ri.extend([p] * len(r.idx))
-            ci.extend(r.idx)
-            data.extend(r.val)
-        return sp.csr_matrix((data, (ri, ci)), shape=(m, self.num_vars))
+        return self.rows.A
 
     def rhs(self) -> np.ndarray:
-        return np.array([r.rhs for r in self.rows], dtype=float)
+        return self.rows.rhs
 
     def name_of(self, j: int) -> str:
         if self.var_names is not None:
@@ -133,15 +183,9 @@ def check_solution(lp: LinearProgram, x: np.ndarray, tol: float = 0.0) -> Feasib
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.num_vars,):
         raise ValueError(f"x has {x.shape} entries, expected ({lp.num_vars},)")
-    rv = np.zeros(len(lp.rows))
-    for p, r in enumerate(lp.rows):
-        ax = r.dot(x)
-        if r.sense == LE:
-            rv[p] = ax - r.rhs
-        elif r.sense == GE:
-            rv[p] = r.rhs - ax
-        else:
-            rv[p] = abs(ax - r.rhs)
+    rows = lp.rows
+    excess = rows.A @ x - rows.rhs
+    rv = np.where(rows.sense == LE, excess, np.where(rows.sense == GE, -excess, np.abs(excess)))
     upper_gap = np.where(np.isinf(lp.upper), -np.inf, x - lp.upper)
     bv = np.maximum(lp.lower - x, upper_gap)
     return FeasibilityReport(row_violation=rv, bound_violation=bv, objective=float(lp.objective @ x))
@@ -149,12 +193,8 @@ def check_solution(lp: LinearProgram, x: np.ndarray, tol: float = 0.0) -> Feasib
 
 def violated_rows(lp: LinearProgram, x: np.ndarray, tol: float) -> list:
     """Names of rows violated beyond tol at x (diagnostics helper)."""
-    rep = check_solution(lp, x)
-    out = []
-    for p, r in enumerate(lp.rows):
-        if rep.row_violation[p] > tol:
-            out.append(r.name or f"row{p}")
-    return out
+    violated = np.flatnonzero(check_solution(lp, x).row_violation > tol)
+    return [lp.rows.names[p] or f"row{p}" for p in violated]
 
 
 def _mps_name(raw: str, fallback: str) -> str:
@@ -164,43 +204,33 @@ def _mps_name(raw: str, fallback: str) -> str:
 
 def to_mps(lp: LinearProgram, name: str = "CCSPLAN") -> str:
     """Render the program in free-format MPS for cross-checks with other solvers."""
+    rows = lp.rows
+    row_names = [_mps_name(s, f"R{p}") for p, s in enumerate(rows.names)]
+    var_names = [_mps_name(lp.name_of(j), f"X{j}") for j in range(lp.num_vars)]
     lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    row_names = []
-    for p, r in enumerate(lp.rows):
-        rn = _mps_name(r.name, f"R{p}") if r.name else f"R{p}"
-        row_names.append(rn)
-        tag = {LE: "L", GE: "G", EQ: "E"}[r.sense]
-        lines.append(f" {tag}  {rn}")
-
-    # column-major entries
-    col_entries = [[] for _ in range(lp.num_vars)]
-    for j in range(lp.num_vars):
-        if lp.objective[j] != 0.0:
-            col_entries[j].append(("COST", lp.objective[j]))
-    for p, r in enumerate(lp.rows):
-        for j, v in zip(r.idx, r.val):
-            col_entries[int(j)].append((row_names[p], float(v)))
+    tag = {LE: "L", GE: "G", EQ: "E"}
+    lines += [f" {tag[s]}  {rn}" for s, rn in zip(rows.sense, row_names)]
 
     lines.append("COLUMNS")
-    var_names = [_mps_name(lp.name_of(j), f"X{j}") for j in range(lp.num_vars)]
-    for j in range(lp.num_vars):
-        for rn, v in col_entries[j]:
-            lines.append(f"    {var_names[j]}  {rn}  {v:.17g}")
+    C = rows.A.tocsc()
+    for j, vn in enumerate(var_names):
+        if lp.objective[j] != 0.0:
+            lines.append(f"    {vn}  COST  {lp.objective[j]:.17g}")
+        lo, hi = C.indptr[j], C.indptr[j + 1]
+        lines += [f"    {vn}  {row_names[p]}  {v:.17g}" for p, v in zip(C.indices[lo:hi], C.data[lo:hi])]
 
     lines.append("RHS")
-    for p, r in enumerate(lp.rows):
-        if r.rhs != 0.0:
-            lines.append(f"    RHS  {row_names[p]}  {r.rhs:.17g}")
+    lines += [f"    RHS  {row_names[p]}  {rows.rhs[p]:.17g}" for p in np.flatnonzero(rows.rhs)]
 
     lines.append("BOUNDS")
-    for j in range(lp.num_vars):
+    for j, vn in enumerate(var_names):
         lo, up = lp.lower[j], lp.upper[j]
         if lo == up:
-            lines.append(f" FX BND  {var_names[j]}  {lo:.17g}")
+            lines.append(f" FX BND  {vn}  {lo:.17g}")
             continue
         if lo != 0.0:
-            lines.append(f" LO BND  {var_names[j]}  {lo:.17g}")
+            lines.append(f" LO BND  {vn}  {lo:.17g}")
         if np.isfinite(up):
-            lines.append(f" UP BND  {var_names[j]}  {up:.17g}")
+            lines.append(f" UP BND  {vn}  {up:.17g}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

@@ -22,16 +22,9 @@ _CHUNK = 20000
 
 def _planes(n, A, rhs, lower, upper):
     """Stack constraint rows and finite bound hyperplanes: a.x = r."""
-    normals = [A] if A.shape[0] else []
-    rvals = [rhs] if A.shape[0] else []
     eye = np.eye(n)
-    normals.append(eye)
-    rvals.append(lower)
-    fin = np.nonzero(np.isfinite(upper))[0]
-    if fin.size:
-        normals.append(eye[fin])
-        rvals.append(upper[fin])
-    return np.vstack(normals), np.concatenate(rvals)
+    fin = np.isfinite(upper)
+    return np.vstack([A, eye, eye[fin]]), np.concatenate([rhs, lower, upper[fin]])
 
 
 def _feasible_vertices(n, A, senses, rhs, lower, upper, tol):
@@ -43,9 +36,7 @@ def _feasible_vertices(n, A, senses, rhs, lower, upper, tol):
     combs = list(combinations(range(P), n))
     if len(combs) > MAX_CANDIDATES:
         raise ValueError(f"enumeration too large: {len(combs)} candidate active sets")
-    le = np.array([s == LE for s in senses])
-    ge = np.array([s == GE for s in senses])
-    eq = np.array([s == EQ for s in senses])
+    le, ge, eq = (senses == s for s in (LE, GE, EQ))
     out = []
     for lo in range(0, len(combs), _CHUNK):
         sel = np.array(combs[lo : lo + _CHUNK])
@@ -60,15 +51,12 @@ def _feasible_vertices(n, A, senses, rhs, lower, upper, tol):
             X = np.linalg.solve(M[ok], r[ok][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:  # borderline singular slipped the det filter
             X = np.array([_try_solve(Mi, ri, n) for Mi, ri in zip(M[ok], r[ok])])
-        if A.shape[0]:
-            ax = X @ A.T
-            row_ok = (
-                np.all(ax[:, le] <= rhs[le] + tol, axis=1)
-                & np.all(ax[:, ge] >= rhs[ge] - tol, axis=1)
-                & np.all(np.abs(ax[:, eq] - rhs[eq]) <= tol, axis=1)
-            )
-        else:
-            row_ok = np.ones(X.shape[0], dtype=bool)
+        ax = X @ A.T
+        row_ok = (
+            np.all(ax[:, le] <= rhs[le] + tol, axis=1)
+            & np.all(ax[:, ge] >= rhs[ge] - tol, axis=1)
+            & np.all(np.abs(ax[:, eq] - rhs[eq]) <= tol, axis=1)
+        )
         bok = np.all(X >= lower - tol, axis=1) & np.all(X <= upper + tol, axis=1)
         good = row_ok & bok & np.all(np.isfinite(X), axis=1)
         if good.any():
@@ -93,8 +81,8 @@ def _improving_ray(lp: LinearProgram, tol: float):
     free = np.isinf(lp.upper)
     if not free.any():
         return None
-    A = lp.matrix().toarray() if lp.rows else np.empty((0, n))
-    senses = [r.sense for r in lp.rows] + [EQ]
+    A = lp.matrix().toarray()
+    senses = np.append(lp.rows.sense, EQ)
     Aray = np.vstack([A, np.ones((1, n))])
     rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
     lower = np.zeros(n)
@@ -121,8 +109,7 @@ def enumerate_oracle(lp: LinearProgram) -> LpSolution:
         )
     lp.validate()
     n = lp.num_vars
-    A = lp.matrix().toarray() if lp.rows else np.empty((0, n))
-    senses = [r.sense for r in lp.rows]
+    A = lp.matrix().toarray()
     rhs = lp.rhs()
     scale = max(
         1.0,
@@ -132,7 +119,7 @@ def enumerate_oracle(lp: LinearProgram) -> LpSolution:
     )
     tol = 1e-7 * scale
 
-    verts = _feasible_vertices(n, A, senses, rhs, lp.lower, lp.upper, tol)
+    verts = _feasible_vertices(n, A, lp.rows.sense, rhs, lp.lower, lp.upper, tol)
 
     def result(status, x, count):
         rep = check_solution(lp, x)

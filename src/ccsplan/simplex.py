@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
 
-from .lp import EQ, GE, LE, LinearProgram, LpSolution, Status, check_solution
+from .lp import EQ, GE, LinearProgram, LpSolution, Status, check_solution
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
 REFACTOR_EVERY = 40  # basis changes between fresh LU factorisations
@@ -203,46 +203,41 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSoluti
     settings = settings or SolverSettings()
     lp.validate()
     n = lp.num_vars
-    m = len(lp.rows)
     A = lp.matrix()
+    m = A.shape[0]
     b = lp.rhs()
+    sense = lp.rows.sense
 
-    if settings.scale and m > 0 and A.nnz > 0:
-        rs, cs = _geometric_scaling(A)
-    else:
-        rs, cs = np.ones(m), np.ones(n)
-    As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc() if m else sp.csc_matrix((0, n))
+    rs, cs = _geometric_scaling(A) if settings.scale else (np.ones(m), np.ones(n))
+    As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc()
     bs = b * rs
     lb = lp.lower / cs
     ub = lp.upper / cs
     c_struct = lp.objective * cs
 
-    slack_coef = np.array([1.0 if r.sense in (LE, EQ) else -1.0 for r in lp.rows])
+    slack_coef = np.where(sense == GE, -1.0, 1.0)
     slack_lb = np.zeros(m)
-    slack_ub = np.array([0.0 if r.sense == EQ else np.inf for r in lp.rows])
+    slack_ub = np.where(sense == EQ, 0.0, np.inf)
 
     x = np.concatenate([lb[:n], np.zeros(m)])
     lb_all = np.concatenate([lb, slack_lb])
     ub_all = np.concatenate([ub, slack_ub])
     vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
 
-    if m:
-        resid = bs - As @ x[:n]
-        s_val = np.clip(resid * slack_coef, slack_lb, slack_ub)
-        x[n:] = s_val
-        gap = resid - slack_coef * s_val
-    else:
-        gap = np.zeros(0)
+    resid = bs - As @ x[:n]
+    s_val = np.clip(resid * slack_coef, slack_lb, slack_ub)
+    x[n:] = s_val
+    gap = resid - slack_coef * s_val
 
     art_rows = np.nonzero(np.abs(gap) > 0.0)[0]
     n_art = len(art_rows)
-    cols = [As, sp.diags(slack_coef, shape=(m, m), format="csc")] if m else [sp.csc_matrix((0, n))]
+    cols = [As, sp.diags(slack_coef, shape=(m, m), format="csc")]
     if n_art:
         art = sp.csc_matrix(
             (np.sign(gap[art_rows]), (art_rows, np.arange(n_art))), shape=(m, n_art)
         )
         cols.append(art)
-    A_std = sp.hstack(cols, format="csc") if m else sp.csc_matrix((0, n + m))
+    A_std = sp.hstack(cols, format="csc")
     lb_all = np.concatenate([lb_all, np.zeros(n_art)])
     ub_all = np.concatenate([ub_all, np.full(n_art, np.inf)])
     x = np.concatenate([x, np.abs(gap[art_rows])])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
+from ccsplan import engine
+from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
 from ccsplan.domain import TechKind
 from ccsplan.engine import (
+    LEX_EPS,
     InfeasibleModelError,
     ScenarioError,
     compute_emissions,
@@ -11,6 +13,7 @@ from ccsplan.engine import (
     run_scenario,
     sweep,
 )
+from ccsplan.lp import LpSolution, Status
 
 from conftest import make_trade_instance, make_unit_instance
 
@@ -123,3 +126,32 @@ def test_nan_in_program_is_scenario_error():
 def test_nan_in_program_is_recorded_per_sweep_point():
     sw = sweep(_nan_cost_instance(), scenario_config(1), "carbon_price", [1.0, 2.0])
     assert all("not finite" in p.error for p in sw.points)
+
+
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
+    # only the programs handed to the solver matter here, so a stub stands in
+    # for it: stage 1 "reaches" an offset of 1 t, stage 2 returns all ones
+    programs = []
+
+    def stub(lp, settings=None):
+        programs.append(lp)
+        return LpSolution(Status.OPTIMAL, np.ones(lp.num_vars), -1.0, 0, 0.0)
+
+    monkeypatch.setattr(engine, "solve", stub)
+    run_scenario(toy_instance, scenario_config(sid, objective_mode=MAX_REDUCTION_LEX))
+    lp1, lp2 = programs
+    m = len(lp1.rows)
+    A1, A2 = lp1.matrix(), lp2.matrix()
+    assert A2.shape == (m + 1, A1.shape[1])
+    np.testing.assert_array_equal(A2.indptr[: m + 1], A1.indptr)
+    np.testing.assert_array_equal(A2.indices[: A1.nnz], A1.indices)
+    np.testing.assert_array_equal(A2.data[: A1.nnz], A1.data)
+    np.testing.assert_array_equal(lp2.rhs()[:m], lp1.rhs())
+    np.testing.assert_array_equal(lp2.rows.sense[:m], lp1.rows.sense)
+    assert lp2.rows.names[:m] == lp1.rows.names
+    off = offset_vector(toy_instance, VariableIndex(toy_instance))
+    *_, lex = lp2.rows
+    assert (lex.name, lex.sense, lex.rhs) == ("lex_reduction", ">=", 1.0 * (1.0 - LEX_EPS))
+    np.testing.assert_array_equal(lex.idx, np.flatnonzero(off))
+    np.testing.assert_array_equal(lex.val, off[off != 0])

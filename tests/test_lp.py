@@ -6,10 +6,13 @@ import pytest
 from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution, to_mps, violated_rows
 
 
-def small_lp():
-    # min -x0 - 2 x1  s.t.  x0 + x1 <= 4,  x1 <= 3,  0 <= x <= inf
+def small_lp(**first_row):
+    # min -x0 - 2 x1  s.t.  x0 + x1 <= 4,  x1 <= 3,  0 <= x <= inf;
+    # first_row replaces fields of the first row
+    row = dict(idx=np.array([0, 1]), val=np.array([1.0, 1.0]), sense="<=", rhs=4.0, name="sum")
+    row.update(first_row)
     rows = [
-        Row(idx=np.array([0, 1]), val=np.array([1.0, 1.0]), sense="<=", rhs=4.0, name="sum"),
+        Row(**row),
         Row(idx=np.array([1]), val=np.array([1.0]), sense="<=", rhs=3.0, name="x1cap"),
     ]
     return LinearProgram(
@@ -22,11 +25,6 @@ def small_lp():
     )
 
 
-def test_row_dot():
-    r = Row(idx=np.array([0, 2]), val=np.array([2.0, -1.0]), sense="<=", rhs=0.0)
-    assert r.dot(np.array([3.0, 100.0, 4.0])) == 2.0
-
-
 def test_validate_rejects_bad_bounds():
     lp = small_lp()
     lp.lower = np.array([0.0, 5.0])
@@ -36,17 +34,13 @@ def test_validate_rejects_bad_bounds():
 
 
 def test_validate_rejects_unknown_sense():
-    lp = small_lp()
-    lp.rows[0].sense = "<"
     with pytest.raises(ValueError, match="unknown sense"):
-        lp.validate()
+        small_lp(sense="<").validate()
 
 
 def test_validate_rejects_out_of_range_index():
-    lp = small_lp()
-    lp.rows[0].idx = np.array([0, 7])
     with pytest.raises(ValueError, match="index out of range"):
-        lp.validate()
+        small_lp(idx=np.array([0, 7])).validate()
 
 
 def test_matrix_and_rhs():
@@ -90,8 +84,7 @@ def test_mps_render_contains_all_sections():
 
 
 def test_mps_sanitises_row_names():
-    lp = small_lp()
-    lp.rows[0].name = "cap[2018] %"
+    lp = small_lp(name="cap[2018] %")
     text = to_mps(lp)
     assert "cap[2018]__" in text
 
@@ -108,12 +101,42 @@ def test_mps_sanitises_row_names():
     ],
 )
 def test_validate_rejects_non_finite_data(field, value, message):
-    lp = small_lp()
     if field == "val":
-        lp.rows[0].val[0] = value
+        lp = small_lp(val=np.array([value, 1.0]))
     elif field == "rhs":
-        lp.rows[0].rhs = value
+        lp = small_lp(rhs=value)
     else:
+        lp = small_lp()
         getattr(lp, field)[0] = value
     with pytest.raises(InvalidProgramError, match=re.escape(message)):
         lp.validate()
+
+
+@pytest.mark.parametrize(
+    "first_row, message",
+    [
+        (dict(sense="=<"), "row 'sum': unknown sense '=<'"),
+        (dict(idx=np.array([-1, 1])), "row 'sum': variable index out of range"),
+        (dict(idx=np.array([0, 2])), "row 'sum': variable index out of range"),
+    ],
+)
+def test_constructor_rejects_bad_rows_naming_the_row(first_row, message):
+    with pytest.raises(InvalidProgramError, match=re.escape(message)):
+        small_lp(**first_row).validate()
+
+
+def test_rows_store_and_views():
+    lp = small_lp()
+    assert len(lp.rows) == 2
+    A = lp.matrix()
+    assert A is lp.rows.A and A.has_canonical_format
+    np.testing.assert_array_equal(lp.rows.sense, ["<=", "<="])
+    assert lp.rows.names == ["sum", "x1cap"]
+    views = list(lp.rows)
+    assert [(r.sense, r.rhs, r.name) for r in views] == [("<=", 4.0, "sum"), ("<=", 3.0, "x1cap")]
+    np.testing.assert_array_equal(views[0].idx, [0, 1])
+    views[0].val[:] = 7.0  # a view is a copy: the program is unchanged
+    np.testing.assert_array_equal(lp.matrix().toarray(), [[1.0, 1.0], [0.0, 1.0]])
+    both = lp.rows + lp.rows
+    assert len(both) == 4 and both.names == ["sum", "x1cap", "sum", "x1cap"]
+    np.testing.assert_array_equal(both.A.toarray(), [[1.0, 1.0], [0.0, 1.0]] * 2)

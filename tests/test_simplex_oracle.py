@@ -99,6 +99,26 @@ def test_program_without_rows():
     assert solve(lp).status == Status.UNBOUNDED
 
 
+def test_rows_without_nonzeros():
+    # 0 <= 1 and 0 = 0 hold everywhere; 0 >= 1 holds nowhere
+    def with_rows(*rows):
+        return LinearProgram(
+            num_vars=2, objective=np.array([-1.0, 1.0]),
+            rows=[Row(np.zeros(0, dtype=int), np.zeros(0), s, r, f"r{i}") for i, (s, r) in enumerate(rows)],
+            lower=np.zeros(2), upper=np.array([3.0, np.inf]),
+        )
+
+    lp = with_rows(("<=", 1.0), ("=", 0.0))
+    assert lp.matrix().shape == (2, 2) and lp.matrix().nnz == 0
+    for scale in (True, False):
+        sol = solve(lp, SolverSettings(scale=scale))
+        assert sol.status == Status.OPTIMAL
+        np.testing.assert_array_equal(sol.x, [3.0, 0.0])
+    assert enumerate_oracle(lp).objective_value == -3.0
+    assert solve(with_rows((">=", 1.0))).status == Status.INFEASIBLE
+    assert enumerate_oracle(with_rows((">=", 1.0))).status == Status.INFEASIBLE
+
+
 def test_scaling_toggle_agrees():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -121,7 +141,7 @@ def test_solver_is_deterministic():
 def test_relaxing_a_rhs_never_worsens_the_optimum():
     lp = lp_of([-1.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], ["<=", "<="], [4.0, 6.0])
     base = solve(lp).objective_value
-    lp.rows[0].rhs = 5.0
+    lp = lp_of([-1.0, -2.0], [[1.0, 1.0], [2.0, 1.0]], ["<=", "<="], [5.0, 6.0])
     assert solve(lp).objective_value <= base + 1e-9
 
 
