@@ -74,39 +74,29 @@ class VariableIndex:
 
     def __init__(self, instance: ModelInstance):
         n, K, T = instance.n, NUM_TECH, instance.T
-        sellers, buyers = instance.sellers, instance.buyers
-        self.re = np.full((n, K, T), -1, dtype=int)
+        sellers = np.array(instance.sellers, dtype=int)
+        buyers = np.array(instance.buyers, dtype=int)
+        ns, nb = len(sellers), len(buyers)
+        # each block is numbered year-major, in the order of the module docstring
+        self.re = np.arange(T * n * K).reshape(T, n, K).transpose(1, 2, 0).copy()
         self.ccs_s = np.full((n, T), -1, dtype=int)
+        self.ccs_s[sellers] = T * n * K + np.arange(T * ns).reshape(T, ns).T
         self.ccs_b = np.full((n, n, T), -1, dtype=int)
-        pos = 0
-        for t in range(T):
-            for i in range(n):
-                for k in range(K):
-                    self.re[i, k, t] = pos
-                    pos += 1
-        for t in range(T):
-            for i in sellers:
-                self.ccs_s[i, t] = pos
-                pos += 1
-        for t in range(T):
-            for j in buyers:
-                for i in sellers:
-                    self.ccs_b[j, i, t] = pos
-                    pos += 1
-        self.num_vars = pos
-        self.names = [""] * pos
-        for t in range(T):
-            year = instance.horizon.year_of(t + 1)
-            for i, r in enumerate(instance.regions):
-                for k, kind in enumerate(TECH_ORDER):
-                    self.names[self.re[i, k, t]] = f"RE[{r.id}][{kind.value}][{year}]"
-            for i in sellers:
-                self.names[self.ccs_s[i, t]] = f"CCSs[{instance.regions[i].id}][{year}]"
-            for j in buyers:
-                for i in sellers:
-                    self.names[self.ccs_b[j, i, t]] = (
-                        f"CCSb[{instance.regions[j].id}][{instance.regions[i].id}][{year}]"
-                    )
+        first_b = T * (n * K + ns)
+        traded = np.arange(T * nb * ns).reshape(T, nb, ns).transpose(1, 2, 0)
+        self.ccs_b[np.ix_(buyers, sellers)] = first_b + traded
+        self.num_vars = first_b + T * nb * ns
+        # names are built per block as a small prefix array plus the year
+        # suffix, so that only the last concatenation spans the whole block
+        year = "][" + np.array(instance.horizon.years).astype(str)[:, None, None] + "]"
+        ids = np.array([r.id for r in instance.regions])
+        kinds = np.array([kind.value for kind in TECH_ORDER])
+        names = (
+            "RE[" + ids[:, None] + "][" + kinds + year,  # (t, i, k)
+            "CCSs[" + ids[sellers] + year[:, 0],  # (t, seller)
+            "CCSb[" + ids[buyers][:, None] + "][" + ids[sellers] + year,  # (t, buyer, seller)
+        )
+        self.names = np.concatenate([a.ravel() for a in names]).tolist()
 
 
 @dataclass

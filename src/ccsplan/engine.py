@@ -17,7 +17,7 @@ from .builder import (
 )
 from .domain import TECH_ORDER, ModelInstance, ValidationError
 from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status, violated_rows
-from .simplex import SolverSettings, solve
+from .simplex import BASIC, SolverSettings, solve
 
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
 
@@ -53,6 +53,7 @@ class ScenarioResult:
     objective_value: float
     reduction_pct: float
     solve_stats: dict
+    basis: np.ndarray | None = None  # final basis of the first solve (stage 1 in lex mode)
 
     @property
     def total_offset(self) -> float:
@@ -106,11 +107,15 @@ def run_scenario(
     instance: ModelInstance,
     config: ScenarioConfig,
     settings: SolverSettings | None = None,
+    start=None,
 ) -> ScenarioResult:
     """Assemble, solve, and post-process one scenario configuration.
 
     In max-reduction mode, stage 1 maximises the total offset subject to the
-    scenario constraints; stage 2 minimises cost among the (near-)maximisers.
+    scenario constraints; stage 2 minimises cost among the (near-)maximisers,
+    starting from the stage-1 optimal basis with the new row's slack basic.
+    `start` seeds the first solve (the only one in cost mode, stage 1 in lex
+    mode) with a basis, such as `ScenarioResult.basis` of the same program.
     """
     settings = settings or SolverSettings()
     try:
@@ -122,14 +127,16 @@ def run_scenario(
     if config.objective_mode == MAX_REDUCTION_LEX:
         off = offset_vector(instance, index)
         lp1 = replace(lp, objective=-off)
-        sol1 = solve(lp1, settings)
+        sol1 = first = solve(lp1, settings, start=start)
         _raise_for_status(lp1, sol1)
         max_offset = -sol1.objective_value
         floor = max_offset * (1.0 - LEX_EPS)
         nz = np.nonzero(off)[0]
         lex_row = Row(idx=nz, val=off[nz], sense=GE, rhs=floor, name="lex_reduction")
         lp2 = replace(lp, rows=lp.rows + Rows.stack([lex_row], lp.num_vars))
-        sol = solve(lp2, settings)
+        # the stage-1 optimum meets the lex row with slack max - floor >= 0
+        start2 = None if sol1.basis is None else np.append(sol1.basis, BASIC)
+        sol = solve(lp2, settings, start=start2)
         _raise_for_status(lp2, sol)
         achieved = float(off @ sol.x)
         if achieved < floor - 1e-6 * (1.0 + abs(floor)):
@@ -138,8 +145,9 @@ def run_scenario(
             )
         stats["stage1_offset_t"] = max_offset
         stats["stage1_iterations"] = sol1.iterations
+        stats["stage1_warm_start"] = sol1.warm_start
     elif config.objective_mode == COST_ONLY:
-        sol = solve(lp, settings)
+        sol = first = solve(lp, settings, start=start)
         _raise_for_status(lp, sol)
     else:
         raise ValueError(f"unknown objective_mode {config.objective_mode!r}")
@@ -154,6 +162,7 @@ def run_scenario(
         max_primal_infeasibility=sol.max_primal_infeasibility,
         factorizations=sol.factorizations,
         phase1_iterations=sol.phase1_iterations,
+        warm_start=sol.warm_start,
         clamped=plan.clamped,
     )
     return ScenarioResult(
@@ -164,6 +173,7 @@ def run_scenario(
         objective_value=sol.objective_value,
         reduction_pct=reduction_pct,
         solve_stats=stats,
+        basis=first.basis,
     )
 
 
@@ -194,7 +204,11 @@ def sweep(
     settings: SolverSettings | None = None,
 ) -> SweepResult:
     """One scenario run per grid value with the parameter's whole series
-    replaced by the constant value. Per-point failures never abort the sweep."""
+    replaced by the constant value. Per-point failures never abort the sweep.
+
+    The swept parameters appear only in the objective, so each point starts
+    from the previous successful point's basis (a point after a failure starts
+    cold); the points therefore run serially in grid order."""
     if parameter not in PARAMETER_KEYS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {sorted(PARAMETER_KEYS)}")
     grid = [float(v) for v in grid]
@@ -204,21 +218,23 @@ def sweep(
         raise ValueError("grid values must be >= 0")
     key = PARAMETER_KEYS[parameter]
 
-    def one(value):
+    points = []
+    basis = None
+    for value in grid:
         point = SweepPoint(value=value)
+        points.append(point)
         try:
-            res = run_scenario(instance, config.with_overrides(**{key: value}), settings)
+            res = run_scenario(instance, config.with_overrides(**{key: value}), settings, start=basis)
         except ScenarioError as exc:
             point.error = str(exc)
-            return point
+            basis = None
+            continue
+        basis = res.basis
         point.reduction_pct = res.reduction_pct
         point.objective_value = res.objective_value
         point.any_trading = bool(res.plan.ccs_traded.sum() > 0)
         point.total_re_gw = float(res.plan.re_installed.sum())
         point.total_ccs_t = float(res.plan.ccs_local.sum() + res.plan.ccs_traded.sum())
-        return point
-
-    points = [one(v) for v in grid]
 
     threshold = None
     monotone = True

@@ -156,6 +156,10 @@ class LpSolution:
     ray_var: int | None = None  # entering variable of the unbounded ray, if any
     factorizations: int = 0  # fresh LU factorisations of the basis, both phases
     phase1_iterations: int = 0  # iterations spent reaching feasibility
+    # BASIC/AT_LOWER/AT_UPPER status of the n structural and m slack variables
+    # at the final iterate; None unless OPTIMAL with no artificial basic
+    basis: np.ndarray | None = None
+    warm_start: bool = False  # phase 2 ran from the given start, without phase 1
 
 
 @dataclass

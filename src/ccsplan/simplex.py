@@ -11,14 +11,21 @@ changes; in between, each basis change appends a product-form eta to the
 factorisation. OPTIMAL is only declared from a fresh factorisation: when
 pricing finds no candidate while etas are pending, the basis is refactorised
 and priced again. Deterministic: identical inputs give bit-identical output.
+
+A solve may start from a basis (`start`, the `LpSolution.basis` of an earlier
+solve of a program with the same rows and bounds, or with rows appended whose
+slacks are basic). If that basis is usable, phase 1 is skipped and phase 2
+runs from it; any other start falls back to the cold start with artificials.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .lp import EQ, GE, LinearProgram, LpSolution, Status, check_solution
 
@@ -76,6 +83,17 @@ def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
     return float(lim[p]), p, AT_LOWER if down[p] else AT_UPPER
 
 
+def _getrs(lu, r, trans):
+    """B0^-1 r (trans=0) or B0^-T r (trans=1) from `lu_factor`'s output;
+    LAPACK getrs without scipy's `lu_solve` wrapper, with the same result."""
+    if not r.size:  # a row-free program; getrs rejects empty arrays
+        return r.copy()
+    z, info = dgetrs(*lu, r, trans=trans)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+    return z
+
+
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
@@ -105,7 +123,7 @@ class _Loop:
     @staticmethod
     def _ftran(lu, etas, r):
         """B^-1 r for B = B0 E1 ... Ek: the LU of B0, then each eta in order."""
-        z = lu_solve(lu, r, check_finite=False)
+        z = _getrs(lu, r, 0)
         for p, w in etas:
             zp = z[p] / w[p]
             z -= zp * w
@@ -118,7 +136,7 @@ class _Loop:
         r = r.copy()
         for p, w in reversed(etas):
             r[p] = (r[p] - (w @ r - w[p] * r[p])) / w[p]
-        return lu_solve(lu, r, trans=1, check_finite=False)
+        return _getrs(lu, r, 1)
 
     def run(self, c, basis, vstat, x):
         s = self.s
@@ -197,9 +215,42 @@ class _Loop:
                     bland = True
 
 
-def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSolution:
+def _warm_start(A, b, lb, ub, start, settings):
+    """(basis, statuses, values) from a starting basis over the structural and
+    slack columns `A`, or None when the start is unusable: it needs one
+    BASIC/AT_LOWER/AT_UPPER status per column, exactly m of them BASIC, no
+    AT_UPPER on an infinite bound, a nonsingular basis matrix, and basic
+    values within feas_tol of their bounds."""
+    m, N = A.shape
+    start = np.asarray(start)
+    if start.shape != (N,) or not np.isin(start, (BASIC, AT_LOWER, AT_UPPER)).all():
+        return None
+    vstat = start.astype(np.int8)
+    basis = np.flatnonzero(vstat == BASIC)
+    upper = vstat == AT_UPPER
+    if len(basis) != m or np.isinf(ub[upper]).any():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a singular B is rejected below
+        lu = lu_factor(A[:, basis].toarray(), check_finite=False)
+    u = np.abs(np.diag(lu[0]))
+    if u.min(initial=np.inf) <= settings.pivot_tol * u.max(initial=0.0):
+        return None
+    x = np.where(upper, ub, lb)
+    x[basis] = 0.0
+    xb = x[basis] = _getrs(lu, b - A @ x, 0)
+    if (xb < lb[basis] - settings.feas_tol).any() or (xb > ub[basis] + settings.feas_tol).any():
+        return None
+    return basis, vstat, x
+
+
+def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None) -> LpSolution:
     """Solve a bounded-variable LP; statuses Optimal/Infeasible/Unbounded or
-    IterationLimit (with the current feasible point, never mislabelled)."""
+    IterationLimit (with the current feasible point, never mislabelled).
+
+    `start` is a basis to run phase 2 from, as in `LpSolution.basis`: one
+    status per structural and slack variable. An unusable start (see
+    `_warm_start`) falls back to the cold start."""
     settings = settings or SolverSettings()
     lp.validate()
     n = lp.num_vars
@@ -218,40 +269,44 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSoluti
     slack_coef = np.where(sense == GE, -1.0, 1.0)
     slack_lb = np.zeros(m)
     slack_ub = np.where(sense == EQ, 0.0, np.inf)
-
-    x = np.concatenate([lb[:n], np.zeros(m)])
     lb_all = np.concatenate([lb, slack_lb])
     ub_all = np.concatenate([ub, slack_ub])
-    vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
+    A_std = sp.hstack([As, sp.diags(slack_coef, shape=(m, m), format="csc")], format="csc")
 
-    resid = bs - As @ x[:n]
-    s_val = np.clip(resid * slack_coef, slack_lb, slack_ub)
-    x[n:] = s_val
-    gap = resid - slack_coef * s_val
+    warm = None if start is None else _warm_start(A_std, bs, lb_all, ub_all, start, settings)
+    if warm is not None:
+        basis, vstat, x = warm
+        n_art = 0
+    else:
+        x = np.concatenate([lb, np.zeros(m)])
+        vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
+        resid = bs - As @ lb
+        s_val = np.clip(resid * slack_coef, slack_lb, slack_ub)
+        x[n:] = s_val
+        gap = resid - slack_coef * s_val
 
-    art_rows = np.nonzero(np.abs(gap) > 0.0)[0]
-    n_art = len(art_rows)
-    cols = [As, sp.diags(slack_coef, shape=(m, m), format="csc")]
-    if n_art:
-        art = sp.csc_matrix(
-            (np.sign(gap[art_rows]), (art_rows, np.arange(n_art))), shape=(m, n_art)
-        )
-        cols.append(art)
-    A_std = sp.hstack(cols, format="csc")
-    lb_all = np.concatenate([lb_all, np.zeros(n_art)])
-    ub_all = np.concatenate([ub_all, np.full(n_art, np.inf)])
-    x = np.concatenate([x, np.abs(gap[art_rows])])
-    vstat = np.concatenate([vstat, np.full(n_art, AT_LOWER, dtype=np.int8)])
+        art_rows = np.nonzero(np.abs(gap) > 0.0)[0]
+        n_art = len(art_rows)
+        if n_art:
+            art = sp.csc_matrix(
+                (np.sign(gap[art_rows]), (art_rows, np.arange(n_art))), shape=(m, n_art)
+            )
+            A_std = sp.hstack([A_std, art], format="csc")
+        lb_all = np.concatenate([lb_all, np.zeros(n_art)])
+        ub_all = np.concatenate([ub_all, np.full(n_art, np.inf)])
+        x = np.concatenate([x, np.abs(gap[art_rows])])
+        vstat = np.concatenate([vstat, np.full(n_art, AT_LOWER, dtype=np.int8)])
 
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    vstat[basis] = BASIC
+        basis = n + np.arange(m)
+        basis[art_rows] = n + m + np.arange(n_art)
+        vstat[basis] = BASIC
 
     loop = _Loop(A_std, bs, lb_all, ub_all, settings)
 
     def finish(status):
         x_orig = x[:n] * cs
         rep = check_solution(lp, x_orig)
+        usable = status == Status.OPTIMAL and (basis < n + m).all()  # no artificial basic
         return LpSolution(
             status=status,
             x=x_orig,
@@ -261,6 +316,8 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None) -> LpSoluti
             ray_var=loop.ray_var,
             factorizations=loop.factorizations,
             phase1_iterations=phase1_iterations,
+            basis=vstat[: n + m].copy() if usable else None,
+            warm_start=warm is not None,
         )
 
     phase1_iterations = 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,7 @@ def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
     # for it: stage 1 "reaches" an offset of 1 t, stage 2 returns all ones
     programs = []
 
-    def stub(lp, settings=None):
+    def stub(lp, settings=None, start=None):
         programs.append(lp)
         return LpSolution(Status.OPTIMAL, np.ones(lp.num_vars), -1.0, 0, 0.0)
 
@@ -155,3 +157,48 @@ def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
     assert (lex.name, lex.sense, lex.rhs) == ("lex_reduction", ">=", 1.0 * (1.0 - LEX_EPS))
     np.testing.assert_array_equal(lex.idx, np.flatnonzero(off))
     np.testing.assert_array_equal(lex.val, off[off != 0])
+
+
+def test_lex_stage_two_starts_from_stage_one(toy_results_lex):
+    for res in toy_results_lex.values():
+        stats = res.solve_stats
+        assert not stats["stage1_warm_start"]
+        assert stats["warm_start"] and stats["phase1_iterations"] == 0
+        assert res.basis is not None  # stage 1's, which a sweep point passes on
+
+
+def test_start_seeds_the_first_solve(toy_instance, toy_results_cost):
+    cold = toy_results_cost[3]
+    warm = run_scenario(toy_instance, scenario_config(3), start=cold.basis)
+    assert not cold.solve_stats["warm_start"]
+    assert warm.solve_stats["warm_start"] and warm.solve_stats["iterations"] == 0
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
+    # the second grid value assembles scenario 2 from an instance whose mix
+    # shares sum to 0.99, so that point fails and the next one starts cold
+    alpha = {TechKind.SOLAR: 0.31, TechKind.WIND: 0.68}
+    bad = replace(toy_instance, globals=replace(toy_instance.globals, alpha=alpha))
+    grid = [10000.0, 26000.0, 42000.0, 58000.0]
+    assemble, solve = engine.assemble, engine.solve
+    warm = []
+
+    def failing_assemble(instance, config):
+        return assemble(bad if config.overrides["cp"] == grid[1] else instance, config)
+
+    def spy(lp, settings=None, start=None):
+        warm.append(start is not None)
+        return solve(lp, settings, start=start)
+
+    monkeypatch.setattr(engine, "assemble", failing_assemble)
+    monkeypatch.setattr(engine, "solve", spy)
+    sw = sweep(toy_instance, scenario_config(2), "carbon_price", grid)
+    monkeypatch.undo()
+    assert [p.error for p in sw.points] == [None, "globals.alpha: alpha sums to 0.99", None, None]
+    assert warm == [False, False, True]
+    for p in sw.points[2:]:
+        cold = run_scenario(toy_instance, scenario_config(2).with_overrides(cp=p.value))
+        assert p.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert p.reduction_pct == pytest.approx(cold.reduction_pct, rel=1e-9)

@@ -1,6 +1,7 @@
 """Full-scale solver checks on toy-nation (1,452 variables), beyond the reach
-of the vertex-enumeration oracle: agreement with HiGHS, and agreement between
-the eta-file path and a fresh LU factorisation on every pivot."""
+of the vertex-enumeration oracle: agreement with HiGHS, agreement between
+the eta-file path and a fresh LU factorisation on every pivot, and agreement
+between warm-started solves (lex stage 2, sweep points) and cold ones."""
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from ccsplan import simplex
-from ccsplan.builder import COST_ONLY, assemble, offset_vector, scenario_config
+from ccsplan import engine, simplex
+from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, assemble, offset_vector, scenario_config
 from ccsplan.lp import EQ, GE, LE, Status
 from ccsplan.simplex import solve
 
@@ -82,3 +83,39 @@ def test_optimality_is_priced_on_a_fresh_factorisation(toy_instance, monkeypatch
     sol = solve(toy_lp(toy_instance, 3))
     assert sol.status == Status.OPTIMAL
     assert max(pending) > 0 and pending[-1] == 0
+
+
+def record_solves(monkeypatch):
+    """(program, start, solution) of every solve the engine makes."""
+    calls = []
+
+    def spy(lp, settings=None, start=None):
+        sol = solve(lp, settings, start=start)
+        calls.append((lp, start, sol))
+        return sol
+
+    monkeypatch.setattr(engine, "solve", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_lex_stage_two_warm_start_matches_cold(toy_instance, sid, monkeypatch):
+    calls = record_solves(monkeypatch)
+    engine.run_scenario(toy_instance, scenario_config(sid, objective_mode=MAX_REDUCTION_LEX))
+    (_, start1, stage1), (lp2, _, warm) = calls
+    assert start1 is None and not stage1.warm_start
+    assert warm.warm_start and warm.phase1_iterations == 0
+    cold = solve(lp2)
+    assert cold.status == warm.status == Status.OPTIMAL
+    assert not cold.warm_start and cold.phase1_iterations > 0
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+
+
+def test_sweep_points_start_from_their_neighbour(toy_instance, golden, monkeypatch):
+    calls = record_solves(monkeypatch)
+    grid = golden["sweep_carbon_price_s1_cost"]["grid"]  # the 16-point carbon-price sweep
+    engine.sweep(toy_instance, scenario_config(1), "carbon_price", grid)
+    assert [start is not None for _, start, _ in calls] == [False] + [True] * 15
+    for lp, _, warm in calls[1:]:
+        assert warm.warm_start and warm.phase1_iterations == 0
+        assert warm.objective_value == pytest.approx(solve(lp).objective_value, rel=1e-9)

@@ -5,7 +5,7 @@ import pytest
 
 from ccsplan.lp import LinearProgram, Row, Status
 from ccsplan.oracle import enumerate_oracle
-from ccsplan.simplex import AT_LOWER, AT_UPPER, SolverSettings, _ratio_test, solve
+from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, SolverSettings, _ratio_test, solve
 
 
 def lp_of(c, A, senses, rhs, lower=None, upper=None):
@@ -117,6 +117,71 @@ def test_rows_without_nonzeros():
     assert enumerate_oracle(lp).objective_value == -3.0
     assert solve(with_rows((">=", 1.0))).status == Status.INFEASIBLE
     assert enumerate_oracle(with_rows((">=", 1.0))).status == Status.INFEASIBLE
+
+
+def warm_lp():
+    """Optimum x = (0, 0, 8). The >= row is violated at x = 0, so the cold
+    start needs phase 1; x1 and x2 have the same column."""
+    return lp_of(
+        [-1.0, -1.0, -2.0], [[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]], ["<=", ">="], [8.0, 1.0],
+        upper=[5.0, np.inf, np.inf],
+    )
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [warm_lp(), lp_of([-1.0, -2.0], [[1.0, 1.0]], ["<="], [4.0], upper=[np.inf, 3.0])],
+    ids=["phase-one", "at-upper"],
+)
+def test_warm_start_from_an_optimal_basis(lp):
+    cold = solve(lp)
+    warm = solve(lp, start=cold.basis)
+    assert cold.status == warm.status == Status.OPTIMAL
+    assert not cold.warm_start and warm.warm_start
+    assert warm.iterations == warm.phase1_iterations == 0
+    np.testing.assert_allclose(warm.x, cold.x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+B, L, U = BASIC, AT_LOWER, AT_UPPER
+
+
+@pytest.mark.parametrize(
+    "lp, start",
+    [  # statuses of x0, x1, x2 and the two slacks of warm_lp
+        pytest.param(warm_lp(), [L, L, L, B], id="wrong-length"),
+        pytest.param(warm_lp(), [B, B, B, L, L], id="three-basic"),
+        pytest.param(warm_lp(), [L, U, L, B, B], id="upper-on-infinite-bound"),
+        pytest.param(warm_lp(), [L, B, B, L, L], id="singular"),
+        pytest.param(warm_lp(), [L, L, L, B, B], id="primal-infeasible"),  # the >= slack would be -1
+        pytest.param(warm_lp(), [U, L, B, B, L], id="primal-infeasible-at-upper"),  # x2 = 6, s0 = -3
+        pytest.param(warm_lp(), [L, L, B, B, 7], id="unknown-status"),
+        # two equal columns in two equal rows: solving with B would give 0/0
+        pytest.param(
+            lp_of([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0]], ["<=", "<="], [4.0, 4.0]), [B, B, L, L],
+            id="singular-consistent",
+        ),
+    ],
+)
+def test_unusable_start_falls_back_to_the_cold_solve(lp, start):
+    cold = solve(lp)
+    sol = solve(lp, start=np.array(start, dtype=np.int8))
+    assert not sol.warm_start
+    np.testing.assert_array_equal(sol.x, cold.x)
+    np.testing.assert_array_equal(sol.basis, cold.basis)
+    assert (sol.status, sol.objective_value, sol.iterations, sol.phase1_iterations, sol.factorizations) == (
+        cold.status, cold.objective_value, cold.iterations, cold.phase1_iterations, cold.factorizations,
+    )
+
+
+def test_no_basis_while_an_artificial_stays_basic():
+    # the second row is twice the first: phase 1 pivots one artificial out and
+    # the other stays basic at zero
+    lp = lp_of([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [2.0, 4.0])
+    sol = solve(lp)
+    assert sol.status == Status.OPTIMAL
+    assert sol.objective_value == pytest.approx(2.0)
+    assert sol.basis is None
 
 
 def test_scaling_toggle_agrees():
