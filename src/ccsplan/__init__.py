@@ -50,6 +50,6 @@ from .engine import (
 )
 from .lp import InvalidProgramError, LinearProgram, LpSolution, Row, Status, check_solution, to_mps
 from .oracle import enumerate_oracle
-from .simplex import SolverSettings, solve
+from .simplex import solve
 
 __version__ = "0.1.0"

@@ -93,15 +93,12 @@ def reduction_percentage(total_offset: float, national_baseline: float) -> float
     return 100.0 * total_offset / national_baseline
 
 
-def cashflow(result: ScenarioResult, instance=None, replacement_after: int | None = None) -> CashflowSeries:
+def cashflow(result: ScenarioResult) -> CashflowSeries:
     """Per region-year cashflows evaluated on the plan.
 
     FIT revenue applies the year-t price to all capacity installed up to t.
-    `replacement_after` (years, off by default) adds a repeat capex for
-    capacity older than that age; it is an accounting option only, never part
-    of the optimisation.
     """
-    inst = instance if instance is not None else result.instance
+    inst = result.instance
     plan = result.plan
     n, T = inst.n, inst.T
     cp, ccsp, gt, _cap, sp = effective_globals(inst, result.config)
@@ -116,10 +113,6 @@ def cashflow(result: ScenarioResult, instance=None, replacement_after: int | Non
             invest_re[i] += rt.rp * re
             fit[i] += sp[kind] * rt.h * np.cumsum(re)
             ets[i] += cp * rt.g * re
-            if replacement_after is not None:
-                L = int(replacement_after)
-                if L < T:
-                    invest_re[i, L:] += rt.rp[L:] * re[: T - L]
 
     invest_ccs = ccsp * plan.ccs_of_region()
     transport = np.zeros((n, T))

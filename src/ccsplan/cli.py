@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import analytics, dataio, engine
+from . import dataio, engine
 from .builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
 from .domain import ValidationError
 from .engine import ScenarioError
@@ -85,10 +85,12 @@ def _load(parser, args):
         raise SystemExit(1)
 
 
-def _summary_line(sid, result, payback):
+def _summary_line(summary):
+    payback = summary["payback_year"]
     return (
-        f"scenario {sid}: optimal, objective {result.objective_value:.6g} yen, "
-        f"reduction {result.reduction_pct:.2f}%, payback "
+        f"scenario {summary['scenario']}: {summary['status']}, "
+        f"objective {summary['objective_yen']:.6g} yen, "
+        f"reduction {summary['reduction_pct']:.2f}%, payback "
         f"{payback if payback is not None else 'not within horizon'}"
     )
 
@@ -117,9 +119,8 @@ def cmd_solve(parser, args) -> int:
     except ScenarioError as exc:
         print(f"scenario {args.scenario}: {exc}", file=sys.stderr)
         return 1
-    dataio.write_results(result, args.out, scenario_id=args.scenario)
-    payback = analytics.payback_year(analytics.cashflow(result))
-    print(_summary_line(args.scenario, result, payback))
+    summary = dataio.write_results(result, args.out, scenario_id=args.scenario)
+    print(_summary_line(summary))
     return 0
 
 
@@ -136,9 +137,8 @@ def cmd_run_all(parser, args) -> int:
             print(f"scenario {sid}: {outcome}", file=sys.stderr)
             failed = True
             continue
-        dataio.write_results(outcome, os.path.join(args.out, f"s{sid}"), scenario_id=sid)
-        payback = analytics.payback_year(analytics.cashflow(outcome))
-        print(_summary_line(sid, outcome, payback))
+        summary = dataio.write_results(outcome, os.path.join(args.out, f"s{sid}"), scenario_id=sid)
+        print(_summary_line(summary))
     return 1 if failed else 0
 
 
@@ -172,13 +172,7 @@ def cmd_report(parser, args) -> int:
         return 1
     with open(path) as fh:
         s = json.load(fh)
-    payback = s.get("payback_year")
-    print(
-        f"scenario {s.get('scenario')}: {s.get('status')}, "
-        f"objective {s.get('objective_yen'):.6g} yen, "
-        f"reduction {s.get('reduction_pct'):.2f}%, payback "
-        f"{payback if payback is not None else 'not within horizon'}"
-    )
+    print(_summary_line(s))
     shares = s.get("shares_pct")
     if shares:
         print(

@@ -247,8 +247,8 @@ def load(path) -> ModelInstance:
     )
 
 
-def load_validated(path, **kw) -> ModelInstance:
-    return validate_instance(load(path), **kw)
+def load_validated(path) -> ModelInstance:
+    return validate_instance(load(path))
 
 
 def _write_lines(path: Path, lines):
@@ -267,7 +267,7 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
 
     Layout: plan.csv, emissions.csv, trades.csv, cashflow.csv, summary.json,
     plotdata/*.csv. Running twice with identical inputs produces byte-identical
-    bundles.
+    bundles. Returns the summary, before summary.json's rounding.
     """
     inst = result.instance
     out = Path(out_path)
@@ -375,7 +375,7 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         "cumulative_net_yen": float(cum[-1]),
     }
     _write_summary(out / "summary.json", summary)
-    return out
+    return summary
 
 
 def write_sweep(result: SweepResult, out_path, scenario_id: int, objective_mode: str):

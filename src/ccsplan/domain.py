@@ -184,14 +184,14 @@ def alpha_errors(alpha: dict) -> list:
     return errors
 
 
-def validate_instance(raw: ModelInstance, *, resilience: bool = False) -> ModelInstance:
+def validate_instance(raw: ModelInstance) -> ModelInstance:
     """Check every invariant of the data contract and return a canonical copy.
 
     Raises ValidationError listing all violated rules (with a path to the
     offending field). Validation never returns a partially valid instance.
     Canonicalisation is idempotent: validating a validated instance changes
-    no value. When `resilience` is set the alpha mix shares must be positive
-    and sum to 1.
+    no value. The alpha mix shares are checked where the mix rule's rows are
+    built (`alpha_errors`), since only scenarios with that rule use them.
     """
     errors = []
     T = raw.horizon.num_years
@@ -224,8 +224,6 @@ def validate_instance(raw: ModelInstance, *, resilience: bool = False) -> ModelI
             sp[k] = _as_series(g.sp[k], T, f"globals.sp[{k.value}]", errors)
 
     alpha = {k: float(g.alpha.get(k, 0.0)) for k in TECH_ORDER}
-    if resilience:
-        errors.extend(alpha_errors(alpha))
 
     regions = []
     for r in raw.regions:

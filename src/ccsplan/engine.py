@@ -17,9 +17,10 @@ from .builder import (
 )
 from .domain import TECH_ORDER, ModelInstance, ValidationError
 from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status, violated_rows
-from .simplex import BASIC, SolverSettings, solve
+from .simplex import BASIC, solve
 
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
+JUMP_PP = 1.0  # rise in reduction_pct between sweep points that marks a threshold
 
 PARAMETER_KEYS = {
     "carbon_price": "cp",
@@ -76,7 +77,7 @@ class SweepResult:
     parameter: str
     grid: list
     points: list
-    threshold: float | None  # first grid value where the reduction jumps > delta
+    threshold: float | None  # first grid value where the reduction jumps > JUMP_PP
     monotone: bool  # reduction_pct non-decreasing along the grid
 
 
@@ -103,12 +104,7 @@ def _raise_for_status(lp: LinearProgram, sol) -> None:
     raise ScenarioError(f"solver stopped early: {sol.status.value} after {sol.iterations} iterations")
 
 
-def run_scenario(
-    instance: ModelInstance,
-    config: ScenarioConfig,
-    settings: SolverSettings | None = None,
-    start=None,
-) -> ScenarioResult:
+def run_scenario(instance: ModelInstance, config: ScenarioConfig, start=None) -> ScenarioResult:
     """Assemble, solve, and post-process one scenario configuration.
 
     In max-reduction mode, stage 1 maximises the total offset subject to the
@@ -117,7 +113,6 @@ def run_scenario(
     `start` seeds the first solve (the only one in cost mode, stage 1 in lex
     mode) with a basis, such as `ScenarioResult.basis` of the same program.
     """
-    settings = settings or SolverSettings()
     try:
         lp, index = assemble(instance, config)
     except (ValidationError, InvalidProgramError) as exc:
@@ -127,7 +122,7 @@ def run_scenario(
     if config.objective_mode == MAX_REDUCTION_LEX:
         off = offset_vector(instance, index)
         lp1 = replace(lp, objective=-off)
-        sol1 = first = solve(lp1, settings, start=start)
+        sol1 = first = solve(lp1, start)
         _raise_for_status(lp1, sol1)
         max_offset = -sol1.objective_value
         floor = max_offset * (1.0 - LEX_EPS)
@@ -136,7 +131,7 @@ def run_scenario(
         lp2 = replace(lp, rows=lp.rows + Rows.stack([lex_row], lp.num_vars))
         # the stage-1 optimum meets the lex row with slack max - floor >= 0
         start2 = None if sol1.basis is None else np.append(sol1.basis, BASIC)
-        sol = solve(lp2, settings, start=start2)
+        sol = solve(lp2, start2)
         _raise_for_status(lp2, sol)
         achieved = float(off @ sol.x)
         if achieved < floor - 1e-6 * (1.0 + abs(floor)):
@@ -147,7 +142,7 @@ def run_scenario(
         stats["stage1_iterations"] = sol1.iterations
         stats["stage1_warm_start"] = sol1.warm_start
     elif config.objective_mode == COST_ONLY:
-        sol = first = solve(lp, settings, start=start)
+        sol = first = solve(lp, start)
         _raise_for_status(lp, sol)
     else:
         raise ValueError(f"unknown objective_mode {config.objective_mode!r}")
@@ -179,7 +174,6 @@ def run_scenario(
 
 def run_all(
     instance: ModelInstance,
-    settings: SolverSettings | None = None,
     objective_mode: str = COST_ONLY,
     nonneg_emissions: bool = False,
 ) -> dict:
@@ -189,20 +183,13 @@ def run_all(
     for sid in (1, 2, 3, 4):
         config = scenario_config(sid, objective_mode=objective_mode, nonneg_emissions=nonneg_emissions)
         try:
-            out[sid] = run_scenario(instance, config, settings)
+            out[sid] = run_scenario(instance, config)
         except ScenarioError as exc:
             out[sid] = exc
     return out
 
 
-def sweep(
-    instance: ModelInstance,
-    config: ScenarioConfig,
-    parameter: str,
-    grid,
-    delta_pp: float = 1.0,
-    settings: SolverSettings | None = None,
-) -> SweepResult:
+def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid) -> SweepResult:
     """One scenario run per grid value with the parameter's whole series
     replaced by the constant value. Per-point failures never abort the sweep.
 
@@ -224,7 +211,7 @@ def sweep(
         point = SweepPoint(value=value)
         points.append(point)
         try:
-            res = run_scenario(instance, config.with_overrides(**{key: value}), settings, start=basis)
+            res = run_scenario(instance, config.with_overrides(**{key: value}), basis)
         except ScenarioError as exc:
             point.error = str(exc)
             basis = None
@@ -245,7 +232,7 @@ def sweep(
         if prev is not None:
             if p.reduction_pct < prev - 1e-9:
                 monotone = False
-            if threshold is None and p.reduction_pct - prev > delta_pp:
+            if threshold is None and p.reduction_pct - prev > JUMP_PP:
                 threshold = p.value
         prev = p.reduction_pct
     return SweepResult(parameter=parameter, grid=grid, points=points, threshold=threshold, monotone=monotone)

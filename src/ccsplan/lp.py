@@ -178,11 +178,10 @@ class FeasibilityReport:
         return max(parts) if parts else 0.0
 
 
-def check_solution(lp: LinearProgram, x: np.ndarray, tol: float = 0.0) -> FeasibilityReport:
+def check_solution(lp: LinearProgram, x: np.ndarray) -> FeasibilityReport:
     """Pure evaluation: per-row and per-bound violation plus the objective at x.
 
-    Violations <= tol count as satisfied only in the eyes of the caller;
-    the raw amounts are always reported.
+    The raw amounts are reported; the caller decides what tolerance to apply.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.num_vars,):

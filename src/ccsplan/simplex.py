@@ -15,12 +15,12 @@ and priced again. Deterministic: identical inputs give bit-identical output.
 A solve may start from a basis (`start`, the `LpSolution.basis` of an earlier
 solve of a program with the same rows and bounds, or with rows appended whose
 slacks are basic). If that basis is usable, phase 1 is skipped and phase 2
-runs from it; any other start falls back to the cold start with artificials.
+runs from it, on the LU factorisation made to check it; any other start falls
+back to the cold start with artificials.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,27 +30,23 @@ from scipy.linalg.lapack import dgetrs
 from .lp import EQ, GE, LinearProgram, LpSolution, Status, check_solution
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
+# Read at call time, so tests can monkeypatch them.
 REFACTOR_EVERY = 40  # basis changes between fresh LU factorisations
+FEAS_TOL = 1e-7  # primal feasibility, on scaled rows
+OPT_TOL = 1e-9  # reduced-cost optimality
+PIVOT_TOL = 1e-10
+MAX_ITERS = 50000  # simplex iterations per solve, both phases together
+STALL_LIMIT = 100  # iterations without progress before Bland's rule
 
 
-@dataclass
-class SolverSettings:
-    feas_tol: float = 1e-7  # primal feasibility, on scaled rows
-    opt_tol: float = 1e-9  # reduced-cost optimality
-    pivot_tol: float = 1e-10
-    max_iters: int = 50000
-    stall_limit: int = 100  # iterations without progress before Bland's rule
-    scale: bool = True
-
-
-def _geometric_scaling(A: sp.csr_matrix, passes: int = 2):
+def _geometric_scaling(A: sp.csr_matrix):
+    """Row and column scales from two passes of geometric-mean equilibration."""
     m, n = A.shape
     rs = np.ones(m)
     cs = np.ones(n)
     coo = A.tocoo()
-    absv = np.abs(coo.data)
-    for _ in range(passes):
-        v = absv * rs[coo.row] * cs[coo.col]
+    v = absv = np.abs(coo.data)
+    for _ in range(2):
         nz = v > 0
         for axis, scale, size in ((coo.row, rs, m), (coo.col, cs, n)):
             hi = np.zeros(size)
@@ -97,17 +93,17 @@ def _getrs(lu, r, trans):
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
-    def __init__(self, A: sp.csc_matrix, b, lb, ub, settings):
+    def __init__(self, A: sp.csc_matrix, b, lb, ub, lu=None):
         self.A = A
         self.AT = A.T.tocsr()
         self.b = b
         self.lb = lb
         self.ub = ub
-        self.s = settings
         self.m = A.shape[0]
         self.iters = 0
         self.factorizations = 0
         self.ray_var = None
+        self.lu = lu  # the caller's LU of the first run's basis matrix, if any
 
     def _column(self, j):
         A = self.A
@@ -139,19 +135,22 @@ class _Loop:
         return _getrs(lu, r, 1)
 
     def run(self, c, basis, vstat, x):
-        s = self.s
         bland = False
         stall = 0
         best_obj = np.inf
         # optimality tolerance relative to the cost magnitude: with costs of
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
-        d_tol = s.opt_tol * max(1.0, float(np.abs(c).max(initial=0.0)))
+        d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
         movable = self.ub > self.lb
         B = self.A[:, basis].toarray()
-        lu = self._factor(B)
+        lu, self.lu = self.lu, None
+        if lu is None:
+            lu = self._factor(B)
+        else:
+            self.factorizations += 1
         etas = []  # (position, FTRAN'd entering column) per basis change since lu
         while True:
-            if self.iters >= s.max_iters:
+            if self.iters >= MAX_ITERS:
                 return Status.ITERATION_LIMIT
             xx = x.copy()
             xx[basis] = 0.0
@@ -177,7 +176,7 @@ class _Loop:
             w = self._ftran(lu, etas, a_q)
             dxb = -sigma * w
             t_basic, leave_p, leave_to = _ratio_test(
-                dxb, x[basis], self.lb[basis], self.ub[basis], basis, s.pivot_tol
+                dxb, x[basis], self.lb[basis], self.ub[basis], basis, PIVOT_TOL
             )
 
             t_flip = self.ub[q] - self.lb[q]
@@ -211,16 +210,16 @@ class _Loop:
                 stall = 0
             else:
                 stall += 1
-                if stall >= s.stall_limit:
+                if stall >= STALL_LIMIT:
                     bland = True
 
 
-def _warm_start(A, b, lb, ub, start, settings):
-    """(basis, statuses, values) from a starting basis over the structural and
-    slack columns `A`, or None when the start is unusable: it needs one
-    BASIC/AT_LOWER/AT_UPPER status per column, exactly m of them BASIC, no
-    AT_UPPER on an infinite bound, a nonsingular basis matrix, and basic
-    values within feas_tol of their bounds."""
+def _warm_start(A, b, lb, ub, start):
+    """(basis, statuses, values, LU of the basis matrix) from a starting basis
+    over the structural and slack columns `A`, or None when the start is
+    unusable: it needs one BASIC/AT_LOWER/AT_UPPER status per column, exactly
+    m of them BASIC, no AT_UPPER on an infinite bound, a nonsingular basis
+    matrix, and basic values within FEAS_TOL of their bounds."""
     m, N = A.shape
     start = np.asarray(start)
     if start.shape != (N,) or not np.isin(start, (BASIC, AT_LOWER, AT_UPPER)).all():
@@ -234,24 +233,27 @@ def _warm_start(A, b, lb, ub, start, settings):
         warnings.simplefilter("ignore", LinAlgWarning)  # a singular B is rejected below
         lu = lu_factor(A[:, basis].toarray(), check_finite=False)
     u = np.abs(np.diag(lu[0]))
-    if u.min(initial=np.inf) <= settings.pivot_tol * u.max(initial=0.0):
+    if u.min(initial=np.inf) <= PIVOT_TOL * u.max(initial=0.0):
         return None
     x = np.where(upper, ub, lb)
     x[basis] = 0.0
     xb = x[basis] = _getrs(lu, b - A @ x, 0)
-    if (xb < lb[basis] - settings.feas_tol).any() or (xb > ub[basis] + settings.feas_tol).any():
+    if (xb < lb[basis] - FEAS_TOL).any() or (xb > ub[basis] + FEAS_TOL).any():
         return None
-    return basis, vstat, x
+    return basis, vstat, x, lu
 
 
-def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None) -> LpSolution:
+def solve(lp: LinearProgram, start=None) -> LpSolution:
     """Solve a bounded-variable LP; statuses Optimal/Infeasible/Unbounded or
-    IterationLimit (with the current feasible point, never mislabelled).
+    IterationLimit, after MAX_ITERS iterations of both phases together.
+
+    On IterationLimit `x` is the point where the simplex stopped. A stop in
+    phase 2 leaves a point feasible to tolerance; a stop in phase 1 leaves
+    one that may violate rows, as `max_primal_infeasibility` reports.
 
     `start` is a basis to run phase 2 from, as in `LpSolution.basis`: one
     status per structural and slack variable. An unusable start (see
     `_warm_start`) falls back to the cold start."""
-    settings = settings or SolverSettings()
     lp.validate()
     n = lp.num_vars
     A = lp.matrix()
@@ -259,7 +261,7 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None)
     b = lp.rhs()
     sense = lp.rows.sense
 
-    rs, cs = _geometric_scaling(A) if settings.scale else (np.ones(m), np.ones(n))
+    rs, cs = _geometric_scaling(A)
     As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc()
     bs = b * rs
     lb = lp.lower / cs
@@ -273,9 +275,11 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None)
     ub_all = np.concatenate([ub, slack_ub])
     A_std = sp.hstack([As, sp.diags(slack_coef, shape=(m, m), format="csc")], format="csc")
 
-    warm = None if start is None else _warm_start(A_std, bs, lb_all, ub_all, start, settings)
-    if warm is not None:
-        basis, vstat, x = warm
+    warm = None if start is None else _warm_start(A_std, bs, lb_all, ub_all, start)
+    warm_start = warm is not None
+    lu = None
+    if warm_start:
+        basis, vstat, x, lu = warm
         n_art = 0
     else:
         x = np.concatenate([lb, np.zeros(m)])
@@ -301,7 +305,8 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None)
         basis[art_rows] = n + m + np.arange(n_art)
         vstat[basis] = BASIC
 
-    loop = _Loop(A_std, bs, lb_all, ub_all, settings)
+    loop = _Loop(A_std, bs, lb_all, ub_all, lu)
+    del warm, lu  # the loop drops the start's LU at its first refactorisation
 
     def finish(status):
         x_orig = x[:n] * cs
@@ -317,7 +322,7 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None)
             factorizations=loop.factorizations,
             phase1_iterations=phase1_iterations,
             basis=vstat[: n + m].copy() if usable else None,
-            warm_start=warm is not None,
+            warm_start=warm_start,
         )
 
     phase1_iterations = 0
@@ -329,7 +334,7 @@ def solve(lp: LinearProgram, settings: SolverSettings | None = None, start=None)
         if st == Status.ITERATION_LIMIT:
             return finish(Status.ITERATION_LIMIT)
         art_sum = float(np.sum(x[n + m :]))
-        if st != Status.OPTIMAL or art_sum > settings.feas_tol * (1.0 + np.abs(bs).max(initial=0.0)):
+        if st != Status.OPTIMAL or art_sum > FEAS_TOL * (1.0 + np.abs(bs).max(initial=0.0)):
             return finish(Status.INFEASIBLE)
         # pin artificials at zero for phase 2
         ub_all[n + m :] = 0.0

@@ -91,13 +91,6 @@ def test_payback_mid_horizon():
     assert payback_year(s) == 2020
 
 
-def test_replacement_capex_accounting(unit_result):
-    base = cashflow(unit_result)
-    # a 1-year horizon leaves no room for replacement
-    same = cashflow(unit_result, replacement_after=5)
-    np.testing.assert_array_equal(base.invest_re, same.invest_re)
-
-
 def test_transfer_ledger_balances():
     inst = make_trade_instance()
     res = run_scenario(inst, scenario_config(3, nonneg_emissions=True))

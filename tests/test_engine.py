@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccsplan import engine
+from ccsplan import engine, simplex
 from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
 from ccsplan.domain import TechKind
 from ccsplan.engine import (
@@ -114,6 +114,12 @@ def test_transport_cost_sweep_monotone_objective():
     assert all(p.any_trading for p in sw.points)
 
 
+def test_iteration_limit_is_scenario_error(unit_instance, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERS", 0)
+    with pytest.raises(ScenarioError, match="solver stopped early: iteration_limit after 0 iterations"):
+        run_scenario(unit_instance, scenario_config(1, objective_mode=COST_ONLY))
+
+
 def _nan_cost_instance():
     inst = make_unit_instance()
     inst.regions[0].tech[TechKind.SOLAR].rp = np.array([np.nan])
@@ -136,7 +142,7 @@ def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
     # for it: stage 1 "reaches" an offset of 1 t, stage 2 returns all ones
     programs = []
 
-    def stub(lp, settings=None, start=None):
+    def stub(lp, start=None):
         programs.append(lp)
         return LpSolution(Status.OPTIMAL, np.ones(lp.num_vars), -1.0, 0, 0.0)
 
@@ -188,9 +194,9 @@ def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
     def failing_assemble(instance, config):
         return assemble(bad if config.overrides["cp"] == grid[1] else instance, config)
 
-    def spy(lp, settings=None, start=None):
+    def spy(lp, start=None):
         warm.append(start is not None)
-        return solve(lp, settings, start=start)
+        return solve(lp, start)
 
     monkeypatch.setattr(engine, "assemble", failing_assemble)
     monkeypatch.setattr(engine, "solve", spy)

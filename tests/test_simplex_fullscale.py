@@ -85,12 +85,40 @@ def test_optimality_is_priced_on_a_fresh_factorisation(toy_instance, monkeypatch
     assert max(pending) > 0 and pending[-1] == 0
 
 
+def test_iteration_limit_in_phase_one_returns_an_infeasible_point(toy_instance, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERS", 50)
+    sol = solve(toy_lp(toy_instance, 2))
+    assert sol.status == Status.ITERATION_LIMIT
+    assert sol.iterations == sol.phase1_iterations == 50
+    assert sol.basis is None and sol.max_primal_infeasibility > 0
+
+
+def test_iteration_limit_in_phase_two_returns_a_feasible_point(toy_instance, monkeypatch):
+    lp = toy_lp(toy_instance, 3)
+    full = solve(lp)
+    monkeypatch.setattr(simplex, "MAX_ITERS", full.phase1_iterations + 20)
+    sol = solve(lp)
+    assert sol.status == Status.ITERATION_LIMIT
+    assert sol.phase1_iterations == full.phase1_iterations < sol.iterations
+    assert sol.basis is None and sol.max_primal_infeasibility <= 1e-6
+
+
+def test_bland_rule_from_the_start_reaches_the_same_optimum(toy_instance, monkeypatch):
+    lp = toy_lp(toy_instance, 3)
+    default = solve(lp)
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule after the first pivot of each phase
+    bland = solve(lp)
+    assert default.status == bland.status == Status.OPTIMAL
+    assert bland.iterations != default.iterations  # another pivot path
+    assert bland.objective_value == pytest.approx(default.objective_value, rel=1e-9)
+
+
 def record_solves(monkeypatch):
     """(program, start, solution) of every solve the engine makes."""
     calls = []
 
-    def spy(lp, settings=None, start=None):
-        sol = solve(lp, settings, start=start)
+    def spy(lp, start=None):
+        sol = solve(lp, start)
         calls.append((lp, start, sol))
         return sol
 

@@ -3,9 +3,10 @@ the exhaustive vertex-enumeration oracle, and determinism."""
 import numpy as np
 import pytest
 
+from ccsplan import simplex
 from ccsplan.lp import LinearProgram, Row, Status
 from ccsplan.oracle import enumerate_oracle
-from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, SolverSettings, _ratio_test, solve
+from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, _ratio_test, solve
 
 
 def lp_of(c, A, senses, rhs, lower=None, upper=None):
@@ -21,6 +22,13 @@ def lp_of(c, A, senses, rhs, lower=None, upper=None):
         lower=np.zeros(n) if lower is None else np.asarray(lower, dtype=float),
         upper=np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float),
     )
+
+
+def solve_unscaled(lp, monkeypatch):
+    """Solve with unit row and column scales in place of the equilibration."""
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_geometric_scaling", lambda A: (np.ones(A.shape[0]), np.ones(A.shape[1])))
+        return solve(lp)
 
 
 def random_lp(rng):
@@ -99,7 +107,7 @@ def test_program_without_rows():
     assert solve(lp).status == Status.UNBOUNDED
 
 
-def test_rows_without_nonzeros():
+def test_rows_without_nonzeros(monkeypatch):
     # 0 <= 1 and 0 = 0 hold everywhere; 0 >= 1 holds nowhere
     def with_rows(*rows):
         return LinearProgram(
@@ -110,8 +118,7 @@ def test_rows_without_nonzeros():
 
     lp = with_rows(("<=", 1.0), ("=", 0.0))
     assert lp.matrix().shape == (2, 2) and lp.matrix().nnz == 0
-    for scale in (True, False):
-        sol = solve(lp, SolverSettings(scale=scale))
+    for sol in (solve(lp), solve_unscaled(lp, monkeypatch)):
         assert sol.status == Status.OPTIMAL
         np.testing.assert_array_equal(sol.x, [3.0, 0.0])
     assert enumerate_oracle(lp).objective_value == -3.0
@@ -133,9 +140,13 @@ def warm_lp():
     [warm_lp(), lp_of([-1.0, -2.0], [[1.0, 1.0]], ["<="], [4.0], upper=[np.inf, 3.0])],
     ids=["phase-one", "at-upper"],
 )
-def test_warm_start_from_an_optimal_basis(lp):
+def test_warm_start_from_an_optimal_basis(lp, monkeypatch):
     cold = solve(lp)
+    factored = []
+    lu_factor = simplex.lu_factor
+    monkeypatch.setattr(simplex, "lu_factor", lambda *a, **kw: factored.append(1) or lu_factor(*a, **kw))
     warm = solve(lp, start=cold.basis)
+    assert len(factored) == warm.factorizations == 1  # phase 2 reuses the start's LU
     assert cold.status == warm.status == Status.OPTIMAL
     assert not cold.warm_start and warm.warm_start
     assert warm.iterations == warm.phase1_iterations == 0
@@ -184,12 +195,12 @@ def test_no_basis_while_an_artificial_stays_basic():
     assert sol.basis is None
 
 
-def test_scaling_toggle_agrees():
+def test_scaling_toggle_agrees(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(25):
         lp = random_lp(rng)
-        a = solve(lp, SolverSettings(scale=True))
-        b = solve(lp, SolverSettings(scale=False))
+        a = solve(lp)
+        b = solve_unscaled(lp, monkeypatch)
         assert a.status == b.status
         if a.status == Status.OPTIMAL:
             assert a.objective_value == pytest.approx(b.objective_value, rel=1e-7, abs=1e-9)
@@ -229,6 +240,15 @@ def test_oracle_detects_infeasible_and_unbounded():
 
 
 def test_randomized_oracle_agreement():
+    assert_oracle_agreement()
+
+
+def test_bland_rule_matches_the_oracle(monkeypatch):
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule after the first pivot of each phase
+    assert_oracle_agreement()
+
+
+def assert_oracle_agreement():
     rng = np.random.default_rng(42)
     for _ in range(60):
         lp = random_lp(rng)
