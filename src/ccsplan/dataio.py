@@ -30,6 +30,7 @@ from .engine import ScenarioResult, SweepResult
 
 REQUIRED_FILES = ("globals.json", "regions.csv", "tech.csv")
 MASS_FACTORS = {"t": 1.0, "kt": 1e3, "Mt": 1e6}
+MAX_YEARS = 1000  # every series is an array of num_years values
 
 
 class DataError(ValueError):
@@ -58,9 +59,28 @@ def _round9(obj):
     return obj
 
 
+def _float(value, where, errors):
+    """float(value), or 0.0 after recording an error that names `where`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{where}: not a number: {value!r}")
+        return 0.0
+
+
+def _object(conf, key, errors):
+    """The JSON object under `key` of globals.json ({} if absent, or after
+    recording an error when it is not an object)."""
+    value = conf.get(key, {})
+    if isinstance(value, dict):
+        return value
+    errors.append(f"globals.json: {key}: expected a JSON object, got {type(value).__name__}")
+    return {}
+
+
 def _parse_series(value, T, name, errors):
     if isinstance(value, dict) and set(value) == {"constant"}:
-        return np.full(T, float(value["constant"]))
+        return np.full(T, _float(value["constant"], f"globals.json: {name}.constant", errors))
     if isinstance(value, list):
         out = np.zeros(T)
         if len(value) != T:
@@ -70,10 +90,7 @@ def _parse_series(value, T, name, errors):
             if v is None or v == "unbounded":
                 out[t] = np.inf
             else:
-                try:
-                    out[t] = float(v)
-                except (TypeError, ValueError):
-                    errors.append(f"globals.json: {name}[{t}]: not a number: {v!r}")
+                out[t] = _float(v, f"globals.json: {name}[{t}]", errors)
         return out
     errors.append(f"globals.json: {name}: expected a list or {{'constant': x}}")
     return np.zeros(T)
@@ -126,17 +143,27 @@ def load(path) -> ModelInstance:
             gconf = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError([f"globals.json: malformed JSON: {exc}"]) from exc
+    if not isinstance(gconf, dict):
+        raise DataError([f"globals.json: expected a JSON object, got {type(gconf).__name__}"])
 
-    hconf = gconf.get("horizon", {})
-    horizon = Horizon(
-        start_year=int(hconf.get("start_year", 2018)),
-        num_years=int(hconf.get("num_years", 33)),
-    )
+    hconf = _object(gconf, "horizon", errors)
+    years = {}
+    for key, default in (("start_year", 2018), ("num_years", 33)):
+        value = hconf.get(key, default)
+        try:
+            years[key] = int(value)
+        except (TypeError, ValueError, OverflowError):
+            errors.append(f"globals.json: horizon.{key}: not an integer: {value!r}")
+    if not 1 <= years.get("num_years", 1) <= MAX_YEARS:
+        errors.append(f"globals.json: horizon.num_years: {years['num_years']} outside [1, {MAX_YEARS}]")
+    if errors:  # every series below is read against the horizon
+        raise DataError(errors)
+    horizon = Horizon(**years)
     T = horizon.num_years
 
-    units = gconf.get("units", {})
+    units = _object(gconf, "units", errors)
     mass_unit = units.get("co2_mass", "t")
-    if mass_unit not in MASS_FACTORS:
+    if not isinstance(mass_unit, str) or mass_unit not in MASS_FACTORS:
         errors.append(f"globals.json: units.co2_mass: unknown unit tag {mass_unit!r}")
         mass_unit = "t"
     mass = MASS_FACTORS[mass_unit]
@@ -147,10 +174,14 @@ def load(path) -> ModelInstance:
     ccsp = _parse_series(gconf.get("ccsp"), T, "ccsp", errors) / mass
     gt = _parse_series(gconf.get("gt"), T, "gt", errors) / mass
     cap = _parse_series(gconf.get("cap", [None] * T), T, "cap", errors) * mass
-    spconf = gconf.get("sp", {})
+    spconf = _object(gconf, "sp", errors)
     sp = {k: _parse_series(spconf.get(k.value), T, f"sp.{k.value}", errors) for k in TECH_ORDER}
-    alpha_conf = gconf.get("alpha", {})
-    alpha = {k: float(alpha_conf.get(k.value, 0.0)) for k in TECH_ORDER} if alpha_conf else None
+    alpha_conf = _object(gconf, "alpha", errors)
+    alpha = None
+    if alpha_conf:
+        alpha = {
+            k: _float(alpha_conf.get(k.value, 0.0), f"globals.json: alpha.{k.value}", errors) for k in TECH_ORDER
+        }
 
     region_rows = _read_csv(root / "regions.csv", ("id", "C0_tonnes", "ccs_capacity_tonnes"), errors)
     regions = {}
@@ -206,9 +237,13 @@ def load(path) -> ModelInstance:
         except (TypeError, ValueError):
             errors.append(f"tech.csv:{lineno}: malformed numeric field in {row!r}")
             continue
+        g_name, rp_name = ((row.get(c) or "").strip() for c in ("g_series", "rp_series"))
+        if not (g_name and rp_name):
+            errors.append(f"tech.csv:{lineno}: empty g_series or rp_series in {row!r}")
+            continue
         regions[rid].tech[kind] = RegionTech(
-            g=series(row["g_series"].strip()) * mass,
-            rp=series(row["rp_series"].strip()),
+            g=series(g_name) * mass,
+            rp=series(rp_name),
             h=h,
             potential=potential,
         )

@@ -159,7 +159,7 @@ class LpSolution:
     # BASIC/AT_LOWER/AT_UPPER status of the n structural and m slack variables
     # at the final iterate; None unless OPTIMAL with no artificial basic
     basis: np.ndarray | None = None
-    warm_start: bool = False  # phase 2 ran from the given start, without phase 1
+    warm_start: bool = False  # ran from the given start (with phase 1 if it had an artificial)
 
 
 @dataclass

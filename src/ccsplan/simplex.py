@@ -1,9 +1,9 @@
 """Two-phase bounded-variable primal simplex.
 
-Dantzig pricing with a Bland's-rule fallback after a stall threshold, and
-geometric-mean row/column equilibration before solving. The ratio test takes
-the smallest ratio; among ratios within 1e-12 of the minimum, the lowest
-variable index leaves.
+Dantzig pricing, switching to Bland's rule (the lowest eligible index enters)
+once a phase has run STALL_LIMIT iterations, and geometric-mean row/column
+equilibration before solving. The ratio test takes the smallest ratio; among
+ratios within 1e-12 of the minimum, the lowest variable index leaves.
 
 The dense basis matrix is kept column by column. Its LU factorisation is
 computed at the start of each phase and after every REFACTOR_EVERY basis
@@ -12,11 +12,13 @@ factorisation. OPTIMAL is only declared from a fresh factorisation: when
 pricing finds no candidate while etas are pending, the basis is refactorised
 and priced again. Deterministic: identical inputs give bit-identical output.
 
-A solve may start from a basis (`start`, the `LpSolution.basis` of an earlier
-solve of a program with the same rows and bounds, or with rows appended whose
-slacks are basic). If that basis is usable, phase 1 is skipped and phase 2
-runs from it, on the LU factorisation made to check it; any other start falls
-back to the cold start with artificials.
+Every solve starts from a basis through `_start`: the given `start` (the
+`LpSolution.basis` of an earlier solve of a program with the same rows and
+bounds, or with rows appended whose slacks are basic) if it is usable, else
+the all-slack basis, which is the cold start. A basic slack outside its
+bounds gets an artificial on its row, and phase 1 runs whenever there is one;
+otherwise phase 2 runs from the start, on the LU factorisation made to check
+it.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ FEAS_TOL = 1e-7  # primal feasibility, on scaled rows
 OPT_TOL = 1e-9  # reduced-cost optimality
 PIVOT_TOL = 1e-10
 MAX_ITERS = 50000  # simplex iterations per solve, both phases together
-STALL_LIMIT = 100  # iterations without progress before Bland's rule
+STALL_LIMIT = 100  # iterations of a phase before Bland's rule, stalled or not
 
 
 def _geometric_scaling(A: sp.csr_matrix):
@@ -135,9 +137,7 @@ class _Loop:
         return _getrs(lu, r, 1)
 
     def run(self, c, basis, vstat, x):
-        bland = False
-        stall = 0
-        best_obj = np.inf
+        first = self.iters
         # optimality tolerance relative to the cost magnitude: with costs of
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
         d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -167,7 +167,7 @@ class _Loop:
                 # confirm optimality on a fresh factorisation
                 lu, etas = self._factor(B), []
                 continue
-            if bland:
+            if self.iters - first >= max(STALL_LIMIT, 1):  # Bland's rule
                 q = int(cand[0])
             else:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
@@ -204,22 +204,20 @@ class _Loop:
                     lu, etas = self._factor(B), []
 
             self.iters += 1
-            obj = float(c @ x)
-            if obj < best_obj - 1e-10 * (1.0 + abs(best_obj)):
-                best_obj = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    bland = True
 
 
-def _warm_start(A, b, lb, ub, start):
-    """(basis, statuses, values, LU of the basis matrix) from a starting basis
-    over the structural and slack columns `A`, or None when the start is
-    unusable: it needs one BASIC/AT_LOWER/AT_UPPER status per column, exactly
-    m of them BASIC, no AT_UPPER on an infinite bound, a nonsingular basis
-    matrix, and basic values within FEAS_TOL of their bounds."""
+def _start(A, b, lb, ub, start):
+    """(A, lb, ub, basis, statuses, values, LU) to run the simplex from the
+    basis `start` over the columns of `A` (n structurals, then m slacks), or
+    None when the start is unusable. Usable means one BASIC/AT_LOWER/AT_UPPER
+    status per column, exactly m BASIC, no AT_UPPER on an infinite bound, a
+    nonsingular basis matrix and every basic structural within FEAS_TOL of
+    its bounds; the all-slack basis always is.
+
+    A basic slack further than FEAS_TOL outside its bounds, [0, inf) or
+    [0, 0], leaves the basis at 0, and an artificial on its row carries the
+    excess e: column sign(coef e) e_row, value |e|. Artificials are appended
+    to A, lb and ub in row order, and the LU is that of the new basis."""
     m, N = A.shape
     start = np.asarray(start)
     if start.shape != (N,) or not np.isin(start, (BASIC, AT_LOWER, AT_UPPER)).all():
@@ -231,16 +229,35 @@ def _warm_start(A, b, lb, ub, start):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)  # a singular B is rejected below
-        lu = lu_factor(A[:, basis].toarray(), check_finite=False)
+        lu = lu_factor(A[:, basis].toarray(order="F"), overwrite_a=True, check_finite=False)
     u = np.abs(np.diag(lu[0]))
     if u.min(initial=np.inf) <= PIVOT_TOL * u.max(initial=0.0):
         return None
     x = np.where(upper, ub, lb)
     x[basis] = 0.0
     xb = x[basis] = _getrs(lu, b - A @ x, 0)
-    if (xb < lb[basis] - FEAS_TOL).any() or (xb > ub[basis] + FEAS_TOL).any():
-        return None
-    return basis, vstat, x, lu
+    pos = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ub[basis] + FEAS_TOL))
+    slack = basis[pos]
+    if (slack < N - m).any():
+        return None  # a basic structural outside its bounds
+    if pos.size:  # `basis` is ascending, so the slacks' rows are in order
+        k = len(pos)
+        e = xb[pos] - lb[slack]
+        coef = A.data[A.indptr[slack]]  # a slack column's one entry
+        art = sp.csc_matrix((np.sign(coef * e), (slack - (N - m), np.arange(k))), shape=(m, k))
+        x[slack] = lb[slack]
+        vstat[slack] = AT_LOWER
+        basis[pos] = N + np.arange(k)
+        A = sp.hstack([A, art], format="csc")
+        lb = np.concatenate([lb, np.zeros(k)])
+        ub = np.concatenate([ub, np.full(k, np.inf)])
+        vstat = np.concatenate([vstat, np.full(k, BASIC, dtype=np.int8)])
+        x = np.concatenate([x, np.abs(e)])
+        # where e < 0 the artificial's column is minus the slack's; B with
+        # column p negated factorises exactly as P L U with U's column negated
+        for p in pos[e < 0]:
+            lu[0][: p + 1, p] *= -1.0
+    return A, lb, ub, basis, vstat, x, lu
 
 
 def solve(lp: LinearProgram, start=None) -> LpSolution:
@@ -251,9 +268,11 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     phase 2 leaves a point feasible to tolerance; a stop in phase 1 leaves
     one that may violate rows, as `max_primal_infeasibility` reports.
 
-    `start` is a basis to run phase 2 from, as in `LpSolution.basis`: one
-    status per structural and slack variable. An unusable start (see
-    `_warm_start`) falls back to the cold start."""
+    `start` is a basis to run from, as in `LpSolution.basis`: one status per
+    structural and slack variable. An unusable start (see `_start`) falls
+    back to the cold start, the all-slack basis. `warm_start` in the result
+    says whether the solve ran from `start`; phase 1 runs from either start
+    if a basic slack lies outside its bounds."""
     lp.validate()
     n = lp.num_vars
     A = lp.matrix()
@@ -268,45 +287,20 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     ub = lp.upper / cs
     c_struct = lp.objective * cs
 
-    slack_coef = np.where(sense == GE, -1.0, 1.0)
-    slack_lb = np.zeros(m)
-    slack_ub = np.where(sense == EQ, 0.0, np.inf)
-    lb_all = np.concatenate([lb, slack_lb])
-    ub_all = np.concatenate([ub, slack_ub])
-    A_std = sp.hstack([As, sp.diags(slack_coef, shape=(m, m), format="csc")], format="csc")
+    slacks = sp.diags(np.where(sense == GE, -1.0, 1.0), shape=(m, m), format="csc")
+    A_std = sp.hstack([As, slacks], format="csc")
+    lb_all = np.concatenate([lb, np.zeros(m)])
+    ub_all = np.concatenate([ub, np.where(sense == EQ, 0.0, np.inf)])
 
-    warm = None if start is None else _warm_start(A_std, bs, lb_all, ub_all, start)
-    warm_start = warm is not None
-    lu = None
-    if warm_start:
-        basis, vstat, x, lu = warm
-        n_art = 0
-    else:
-        x = np.concatenate([lb, np.zeros(m)])
-        vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
-        resid = bs - As @ lb
-        s_val = np.clip(resid * slack_coef, slack_lb, slack_ub)
-        x[n:] = s_val
-        gap = resid - slack_coef * s_val
-
-        art_rows = np.nonzero(np.abs(gap) > 0.0)[0]
-        n_art = len(art_rows)
-        if n_art:
-            art = sp.csc_matrix(
-                (np.sign(gap[art_rows]), (art_rows, np.arange(n_art))), shape=(m, n_art)
-            )
-            A_std = sp.hstack([A_std, art], format="csc")
-        lb_all = np.concatenate([lb_all, np.zeros(n_art)])
-        ub_all = np.concatenate([ub_all, np.full(n_art, np.inf)])
-        x = np.concatenate([x, np.abs(gap[art_rows])])
-        vstat = np.concatenate([vstat, np.full(n_art, AT_LOWER, dtype=np.int8)])
-
-        basis = n + np.arange(m)
-        basis[art_rows] = n + m + np.arange(n_art)
-        vstat[basis] = BASIC
-
+    init = None if start is None else _start(A_std, bs, lb_all, ub_all, start)
+    warm_start = init is not None
+    if not warm_start:
+        slack_basis = np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
+        init = _start(A_std, bs, lb_all, ub_all, slack_basis)
+    A_std, lb_all, ub_all, basis, vstat, x, lu = init
+    n_art = A_std.shape[1] - n - m
     loop = _Loop(A_std, bs, lb_all, ub_all, lu)
-    del warm, lu  # the loop drops the start's LU at its first refactorisation
+    del init, lu  # the loop drops the start's LU at its first refactorisation
 
     def finish(status):
         x_orig = x[:n] * cs

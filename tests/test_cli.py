@@ -1,11 +1,12 @@
 import csv
 import json
 import re
+import shutil
 
 import pytest
 
 from ccsplan.cli import main
-from ccsplan.dataio import load_validated, toy_nation_path
+from ccsplan.dataio import DataError, load_validated, toy_nation_path
 from ccsplan.domain import ValidationError
 
 from test_dataio import write_mini_dataset
@@ -100,6 +101,59 @@ def test_non_finite_input_is_validation_error(tmp_path, capsys, file, column, va
         main(["validate", "--data", str(tmp_path)])
     assert exc.value.code == 1
     assert field in capsys.readouterr().err
+
+
+def _edit_globals(path, value):
+    """An edit of a dataset directory that sets the key path `path` of
+    globals.json to `value` (an empty path replaces the whole document)."""
+
+    def edit(data):
+        conf = json.loads((data / "globals.json").read_text())
+        node = conf
+        for key in path[:-1]:
+            node = node[key]
+        if path:
+            node[path[-1]] = value
+        else:
+            conf = value
+        (data / "globals.json").write_text(json.dumps(conf))
+
+    return edit
+
+
+def _short_tech_row(data):
+    lines = (data / "tech.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]  # drop the g_series field
+    (data / "tech.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(_edit_globals(["horizon", "start_year"], "abc"), "horizon.start_year", id="start-year-text"),
+        pytest.param(_edit_globals(["horizon", "num_years"], None), "horizon.num_years", id="num-years-null"),
+        pytest.param(_edit_globals(["horizon", "num_years"], -3), "horizon.num_years", id="num-years-negative"),
+        pytest.param(_edit_globals(["horizon"], [2018, 33]), "globals.json: horizon", id="horizon-list"),
+        pytest.param(_edit_globals(["units"], "t"), "globals.json: units", id="units-text"),
+        pytest.param(_edit_globals(["sp"], [1.0]), "globals.json: sp", id="sp-list"),
+        pytest.param(_edit_globals([], []), "globals.json: expected a JSON object", id="globals-list"),
+        pytest.param(_edit_globals(["alpha", "solar"], "x"), "alpha.solar", id="alpha-text"),
+        pytest.param(_edit_globals(["gt"], {"constant": "x"}), "gt.constant", id="gt-constant-text"),
+        pytest.param(_edit_globals(["units", "co2_mass"], ["t"]), "units.co2_mass", id="mass-unit-list"),
+        pytest.param(_short_tech_row, "tech.csv:2", id="short-tech-row"),
+    ],
+)
+def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field):
+    data = tmp_path / "d"
+    shutil.copytree(DATA, data)
+    edit(data)
+    with pytest.raises(DataError, match=re.escape(field)):
+        load_validated(data)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--data", str(data)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 def _bad_alpha_dataset(root):

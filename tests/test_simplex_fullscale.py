@@ -113,6 +113,18 @@ def test_bland_rule_from_the_start_reaches_the_same_optimum(toy_instance, monkey
     assert bland.objective_value == pytest.approx(default.objective_value, rel=1e-9)
 
 
+def test_cold_start_is_the_slack_basis(toy_instance):
+    lp = toy_lp(toy_instance, 2)
+    cold = solve(lp)
+    m = lp.matrix().shape[0]
+    slack = solve(lp, start=np.r_[np.full(lp.num_vars, simplex.AT_LOWER), np.full(m, simplex.BASIC)])
+    assert not cold.warm_start and slack.warm_start and cold.phase1_iterations > 0
+    np.testing.assert_array_equal(slack.x, cold.x)
+    assert (slack.iterations, slack.phase1_iterations, slack.factorizations) == (
+        cold.iterations, cold.phase1_iterations, cold.factorizations,
+    )
+
+
 def record_solves(monkeypatch):
     """(program, start, solution) of every solve the engine makes."""
     calls = []

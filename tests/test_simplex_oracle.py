@@ -2,11 +2,13 @@
 the exhaustive vertex-enumeration oracle, and determinism."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import lu_solve
 
 from ccsplan import simplex
 from ccsplan.lp import LinearProgram, Row, Status
 from ccsplan.oracle import enumerate_oracle
-from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, _ratio_test, solve
+from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, _ratio_test, _start, solve
 
 
 def lp_of(c, A, senses, rhs, lower=None, upper=None):
@@ -164,8 +166,7 @@ B, L, U = BASIC, AT_LOWER, AT_UPPER
         pytest.param(warm_lp(), [B, B, B, L, L], id="three-basic"),
         pytest.param(warm_lp(), [L, U, L, B, B], id="upper-on-infinite-bound"),
         pytest.param(warm_lp(), [L, B, B, L, L], id="singular"),
-        pytest.param(warm_lp(), [L, L, L, B, B], id="primal-infeasible"),  # the >= slack would be -1
-        pytest.param(warm_lp(), [U, L, B, B, L], id="primal-infeasible-at-upper"),  # x2 = 6, s0 = -3
+        pytest.param(warm_lp(), [B, L, L, B, L], id="structural-out-of-bounds"),  # x0 would be -1
         pytest.param(warm_lp(), [L, L, B, B, 7], id="unknown-status"),
         # two equal columns in two equal rows: solving with B would give 0/0
         pytest.param(
@@ -183,6 +184,38 @@ def test_unusable_start_falls_back_to_the_cold_solve(lp, start):
     assert (sol.status, sol.objective_value, sol.iterations, sol.phase1_iterations, sol.factorizations) == (
         cold.status, cold.objective_value, cold.iterations, cold.phase1_iterations, cold.factorizations,
     )
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        pytest.param([L, L, L, B, B], id="primal-infeasible"),  # the >= slack would be -1
+        pytest.param([U, L, B, B, L], id="primal-infeasible-at-upper"),  # x2 = 6, s0 = -3
+    ],
+)
+def test_infeasible_slack_start_runs_phase_one(start):
+    # an artificial carries the slack's excess, so the start is kept
+    cold = solve(warm_lp())
+    sol = solve(warm_lp(), start=np.array(start, dtype=np.int8))
+    assert sol.warm_start and sol.phase1_iterations > 0
+    assert cold.status == sol.status == Status.OPTIMAL
+    assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
+    np.testing.assert_allclose(sol.x, cold.x, rtol=1e-12, atol=1e-12)
+
+
+def test_start_lu_factorises_the_basis_with_artificials():
+    # from x0 basic at 2 (the >= row), s0 would be 3 - 4 = -1: an artificial
+    # with column -e_0 replaces it, and the LU has fill below that column
+    lp = lp_of([-1.0, 1.0], [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]], ["<=", "<=", ">="], [3.0, 5.0, 2.0])
+    A = sp.hstack([lp.matrix(), sp.diags([1.0, 1.0, -1.0])], format="csc")
+    lb, ub = np.zeros(5), np.full(5, np.inf)
+    A, lb, ub, basis, vstat, x, lu = _start(A, lp.rhs(), lb, ub, np.array([B, L, B, B, L]))
+    np.testing.assert_array_equal(basis, [0, 5, 3])
+    np.testing.assert_array_equal(A[:, 5].toarray().ravel(), [-1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(x, [2.0, 0.0, 0.0, 3.0, 0.0, 1.0])
+    np.testing.assert_array_equal(vstat, [B, L, L, B, L, B])
+    r = np.array([1.0, 2.0, 3.0])
+    np.testing.assert_allclose(A[:, basis] @ lu_solve(lu, r), r, rtol=1e-14)
 
 
 def test_no_basis_while_an_artificial_stays_basic():
