@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import effective_globals
 from .domain import TECH_ORDER, TechKind, distance
 from .engine import ScenarioResult
 
@@ -41,14 +40,18 @@ class CashflowSeries:
     ets_revenue: np.ndarray
     storage_fee_received: np.ndarray  # transfer to selling regions
 
-    def national_net(self) -> np.ndarray:
-        """Yearly national net excluding seller transfer receipts (the view
-        that reproduces the negated cost objective)."""
+    def net(self) -> np.ndarray:
+        """(n, T) net per region and year, excluding seller transfer receipts."""
         return (
             self.fit_revenue + self.ets_revenue
             - self.invest_re - self.invest_ccs
             - self.transport_cost - self.storage_fee_paid
-        ).sum(axis=0)
+        )
+
+    def national_net(self) -> np.ndarray:
+        """Yearly national net excluding seller transfer receipts (the view
+        that reproduces the negated cost objective)."""
+        return self.net().sum(axis=0)
 
     def national_net_with_transfers(self) -> np.ndarray:
         return self.national_net() + self.storage_fee_received.sum(axis=0)
@@ -101,7 +104,8 @@ def cashflow(result: ScenarioResult) -> CashflowSeries:
     inst = result.instance
     plan = result.plan
     n, T = inst.n, inst.T
-    cp, ccsp, gt, _cap, sp = effective_globals(inst, result.config)
+    g = inst.globals
+    cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
 
     invest_re = np.zeros((n, T))
     fit = np.zeros((n, T))

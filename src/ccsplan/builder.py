@@ -14,7 +14,7 @@ Each row family is emitted with numpy as COO triplets straight from the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,9 +34,6 @@ TOTAL_ONLY = "total_only"
 COST_ONLY = "cost_only"
 MAX_REDUCTION_LEX = "max_reduction_lex"
 
-# override keys accepted in ScenarioConfig.overrides (constant replacement series)
-OVERRIDABLE = ("cp", "ccsp", "gt")
-
 RE_CLAMP = 1e-9  # GW
 CCS_CLAMP = 1e-6  # tonnes
 
@@ -45,14 +42,8 @@ CCS_CLAMP = 1e-6  # tonnes
 class ScenarioConfig:
     ccs_limit_mode: str = EQUAL_YEARLY
     resilience_enabled: bool = False
-    overrides: dict = field(default_factory=dict)
     objective_mode: str = COST_ONLY
     nonneg_emissions: bool = False
-
-    def with_overrides(self, **kw):
-        merged = dict(self.overrides)
-        merged.update(kw)
-        return replace(self, overrides=merged)
 
 
 def scenario_config(number: int, **kw) -> ScenarioConfig:
@@ -113,20 +104,9 @@ class DeploymentPlan:
         return self.ccs_local + self.ccs_traded.sum(axis=1)
 
 
-def effective_globals(instance: ModelInstance, config: ScenarioConfig):
-    """Global price/cap schedules with sweep overrides applied."""
+def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray:
     g = instance.globals
-    T = instance.T
-    series = {"cp": g.cp, "ccsp": g.ccsp, "gt": g.gt}
-    for key, value in config.overrides.items():
-        if key not in OVERRIDABLE:
-            raise ValueError(f"unknown override {key!r}; expected one of {OVERRIDABLE}")
-        series[key] = np.full(T, float(value))
-    return series["cp"], series["ccsp"], series["gt"], g.cap, g.sp
-
-
-def build_objective(instance: ModelInstance, config: ScenarioConfig, index: VariableIndex) -> np.ndarray:
-    cp, ccsp, gt, _cap, sp = effective_globals(instance, config)
+    cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
     c = np.zeros(index.num_vars)
     # tail[k][t0] = sum of FIT prices from year t0 to the end: capacity
     # installed at t earns electricity revenue in every remaining year
@@ -175,7 +155,7 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
     COO triplets (local row, column, value) plus its rhs and names, and the
     families are stacked once into one CSR matrix."""
     n, T = instance.n, instance.T
-    _cp, _ccsp, _gt, cap, _sp = effective_globals(instance, config)
+    cap = instance.globals.cap
     years = np.array(instance.horizon.years).astype(str)
     ids = np.array([r.id for r in instance.regions])
     kinds = np.array([kind.value for kind in TECH_ORDER])
@@ -259,7 +239,7 @@ def assemble(instance: ModelInstance, config: ScenarioConfig):
     upper[index.re[_potentials(instance) <= 0]] = 0.0
     lp = LinearProgram(
         num_vars=index.num_vars,
-        objective=build_objective(instance, config, index),
+        objective=build_objective(instance, index),
         rows=build_constraints(instance, config, index),
         lower=np.zeros(index.num_vars),
         upper=upper,

@@ -41,17 +41,14 @@ class DataError(ValueError):
 
 def _fmt(x) -> str:
     """Deterministic decimal rendering, rounded at 1e-9."""
-    v = round(float(x), 9)
-    if v == 0:
-        v = 0.0  # normalise -0.0
-    s = f"{v:.9f}".rstrip("0").rstrip(".")
+    s = f"{_round9(float(x)):.9f}".rstrip("0").rstrip(".")
     return s if s else "0"
 
 
 def _round9(obj):
     if isinstance(obj, float):
         v = round(obj, 9)
-        return 0.0 if v == 0 else v
+        return 0.0 if v == 0 else v  # normalise -0.0
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -151,6 +148,8 @@ def load(path) -> ModelInstance:
     for key, default in (("start_year", 2018), ("num_years", 33)):
         value = hconf.get(key, default)
         try:
+            if isinstance(value, bool) or float(value) != int(value):
+                raise ValueError(value)
             years[key] = int(value)
         except (TypeError, ValueError, OverflowError):
             errors.append(f"globals.json: horizon.{key}: not an integer: {value!r}")
@@ -191,19 +190,11 @@ def load(path) -> ModelInstance:
         if not rid:
             errors.append(f"regions.csv:{lineno}: empty region id")
             continue
-        try:
-            c0 = float(row["C0_tonnes"]) * mass
-            ccs_cap = float(row["ccs_capacity_tonnes"]) * mass
-        except (TypeError, ValueError):
-            errors.append(f"regions.csv:{lineno}: malformed numeric field in {row!r}")
-            continue
+        c0, ccs_cap = (_float(row[c], f"regions.csv:{lineno}: {c}", errors) * mass
+                       for c in ("C0_tonnes", "ccs_capacity_tonnes"))
         loc = None
-        lat, lon = (row.get("lat") or "").strip(), (row.get("lon") or "").strip()
-        if lat and lon:
-            try:
-                loc = (float(lat), float(lon))
-            except ValueError:
-                errors.append(f"regions.csv:{lineno}: malformed lat/lon")
+        if (row.get("lat") or "").strip() and (row.get("lon") or "").strip():
+            loc = tuple(_float(row[c], f"regions.csv:{lineno}: {c}", errors) for c in ("lat", "lon"))
         regions[rid] = Region(
             id=rid, baseline_emissions=c0, tech={}, ccs_capacity=ccs_cap, location=loc
         )
@@ -231,12 +222,8 @@ def load(path) -> ModelInstance:
         if kind is None:
             errors.append(f"tech.csv:{lineno}: unknown tech {row.get('tech')!r}")
             continue
-        try:
-            potential = float(row["potential_gw"])
-            h = float(row["h_gwh_per_gw"])
-        except (TypeError, ValueError):
-            errors.append(f"tech.csv:{lineno}: malformed numeric field in {row!r}")
-            continue
+        potential, h = (_float(row[c], f"tech.csv:{lineno}: {c}", errors)
+                        for c in ("potential_gw", "h_gwh_per_gw"))
         g_name, rp_name = ((row.get(c) or "").strip() for c in ("g_series", "rp_series"))
         if not (g_name and rp_name):
             errors.append(f"tech.csv:{lineno}: empty g_series or rp_series in {row!r}")
@@ -260,10 +247,7 @@ def load(path) -> ModelInstance:
             if a not in idx or b not in idx:
                 errors.append(f"distances.csv:{lineno}: unknown region in {row!r}")
                 continue
-            try:
-                distances[idx[a], idx[b]] = float(row["km"])
-            except (TypeError, ValueError):
-                errors.append(f"distances.csv:{lineno}: malformed km value")
+            distances[idx[a], idx[b]] = _float(row["km"], f"distances.csv:{lineno}: km", errors)
         holes = np.argwhere(np.isnan(distances))
         for a, b in holes:
             errors.append(f"distances.csv: missing pair {order[a]} -> {order[b]}")
@@ -344,18 +328,14 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         "region,year,invest_re,invest_ccs,transport_cost,storage_fee_paid,"
         "fit_revenue,ets_revenue,storage_fee_received,net"
     ]
+    net = cash.net()
     for i, region in enumerate(inst.regions):
         for t, year in enumerate(years):
-            net = (
-                cash.fit_revenue[i, t] + cash.ets_revenue[i, t]
-                - cash.invest_re[i, t] - cash.invest_ccs[i, t]
-                - cash.transport_cost[i, t] - cash.storage_fee_paid[i, t]
-            )
             lines.append(
                 f"{region.id},{year},{_fmt(cash.invest_re[i, t])},{_fmt(cash.invest_ccs[i, t])},"
                 f"{_fmt(cash.transport_cost[i, t])},{_fmt(cash.storage_fee_paid[i, t])},"
                 f"{_fmt(cash.fit_revenue[i, t])},{_fmt(cash.ets_revenue[i, t])},"
-                f"{_fmt(cash.storage_fee_received[i, t])},{_fmt(net)}"
+                f"{_fmt(cash.storage_fee_received[i, t])},{_fmt(net[i, t])}"
             )
     _write_lines(out / "cashflow.csv", lines)
 

@@ -22,7 +22,7 @@ from .simplex import BASIC, solve
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
 JUMP_PP = 1.0  # rise in reduction_pct between sweep points that marks a threshold
 
-PARAMETER_KEYS = {
+PARAMETER_KEYS = {  # sweep parameter -> the GlobalParams series it replaces
     "carbon_price": "cp",
     "ccs_unit_cost": "ccsp",
     "transport_cost": "gt",
@@ -210,8 +210,9 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     for value in grid:
         point = SweepPoint(value=value)
         points.append(point)
+        prices = replace(instance.globals, **{key: np.full(instance.T, value)})
         try:
-            res = run_scenario(instance, config.with_overrides(**{key: value}), basis)
+            res = run_scenario(replace(instance, globals=prices), config, basis)
         except ScenarioError as exc:
             point.error = str(exc)
             basis = None

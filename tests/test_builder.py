@@ -10,7 +10,6 @@ from ccsplan.builder import (
     VariableIndex,
     assemble,
     build_objective,
-    effective_globals,
     extract_plan,
     offset_vector,
     scenario_config,
@@ -87,7 +86,7 @@ def test_traded_ccs_cost_coefficient():
     inst.globals.ccsp = np.array([10000.0])
     inst.globals.gt = np.array([8.1739])
     index = VariableIndex(inst)
-    c = build_objective(inst, scenario_config(3), index)
+    c = build_objective(inst, index)
     assert c[index.ccs_b[1, 0, 0]] == pytest.approx(20817.39)
 
 
@@ -105,7 +104,7 @@ def test_fit_revenue_accumulates_over_remaining_years():
     g.cap = np.array([np.inf, np.inf])
     g.sp = {TechKind.SOLAR: np.array([3.0, 1.0]), TechKind.WIND: np.zeros(2)}
     index = VariableIndex(inst)
-    c = build_objective(inst, scenario_config(1), index)
+    c = build_objective(inst, index)
     # year-1 install earns FIT in both years (tail 4), year-2 only the last (1)
     assert c[index.re[0, 0, 0]] == pytest.approx(8.0 - 10.0 - 4.0)
     assert c[index.re[0, 0, 1]] == pytest.approx(8.0 - 10.0 - 1.0)
@@ -163,16 +162,6 @@ def test_nonneg_emission_rows():
     row = next(r for r in lp.rows if r.name == "nonneg[R]")
     assert row.rhs == 100.0
     np.testing.assert_allclose(row.val, [10.0, 1.0])
-
-
-def test_overrides_replace_whole_series():
-    inst = make_unit_instance()
-    config = scenario_config(1).with_overrides(cp=7.0)
-    cp, ccsp, _gt, _cap, _sp = effective_globals(inst, config)
-    np.testing.assert_allclose(cp, [7.0])
-    np.testing.assert_allclose(ccsp, [1.0])
-    with pytest.raises(ValueError, match="unknown override"):
-        effective_globals(inst, scenario_config(1).with_overrides(cap=1.0))
 
 
 def test_extract_plan_clamps_and_guards():

@@ -121,6 +121,20 @@ def _edit_globals(path, value):
     return edit
 
 
+def _edit_csv(name, column, value):
+    """An edit of a dataset directory that sets `column` of the first data
+    row of `name` to `value`."""
+    return lambda data: _set_first_row(data / name, column, value)
+
+
+def _distances_with_bad_km(data):
+    with open(data / "regions.csv", newline="") as fh:
+        ids = [row["id"] for row in csv.DictReader(fh)]
+    lines = ["from_id,to_id,km", *(f"{a},{b},100" for a in ids for b in ids if a != b)]
+    (data / "distances.csv").write_text("\n".join(lines) + "\n")
+    _set_first_row(data / "distances.csv", "km", "far")
+
+
 def _short_tech_row(data):
     lines = (data / "tech.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0]  # drop the g_series field
@@ -140,7 +154,12 @@ def _short_tech_row(data):
         pytest.param(_edit_globals(["alpha", "solar"], "x"), "alpha.solar", id="alpha-text"),
         pytest.param(_edit_globals(["gt"], {"constant": "x"}), "gt.constant", id="gt-constant-text"),
         pytest.param(_edit_globals(["units", "co2_mass"], ["t"]), "units.co2_mass", id="mass-unit-list"),
+        pytest.param(_edit_globals(["horizon", "num_years"], 33.9), "horizon.num_years", id="num-years-fraction"),
+        pytest.param(_edit_globals(["horizon", "start_year"], True), "horizon.start_year", id="start-year-bool"),
         pytest.param(_short_tech_row, "tech.csv:2", id="short-tech-row"),
+        pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1e7t"), "regions.csv:2: C0_tonnes", id="c0-text"),
+        pytest.param(_edit_csv("tech.csv", "potential_gw", "four"), "tech.csv:2: potential_gw", id="potential-text"),
+        pytest.param(_distances_with_bad_km, "distances.csv:2: km", id="km-text"),
     ],
 )
 def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field):

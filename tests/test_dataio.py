@@ -78,6 +78,14 @@ def test_mini_dataset_roundtrip(tmp_path):
     assert inst.regions[1].tech[TechKind.WIND].potential == 0.0
 
 
+def test_whole_number_float_horizon_loads(tmp_path):
+    write_mini_dataset(tmp_path)
+    conf = json.loads((tmp_path / "globals.json").read_text())
+    conf["horizon"] = {"start_year": 2018.0, "num_years": 2.0}
+    (tmp_path / "globals.json").write_text(json.dumps(conf))
+    assert list(load(tmp_path).horizon.years) == [2018, 2019]
+
+
 def test_mass_unit_scaling_is_equivalent(tmp_path):
     (tmp_path / "as_t").mkdir()
     (tmp_path / "as_kt").mkdir()

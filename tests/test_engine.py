@@ -114,6 +114,28 @@ def test_transport_cost_sweep_monotone_objective():
     assert all(p.any_trading for p in sw.points)
 
 
+def _with_series(instance, key, value):
+    """The instance with one GlobalParams series replaced by a constant."""
+    return replace(instance, globals=replace(instance.globals, **{key: np.full(instance.T, value)}))
+
+
+@pytest.mark.parametrize("parameter, key, grid", [
+    ("carbon_price", "cp", [8000.0, 12000.0, 16000.0]),
+    ("ccs_unit_cost", "ccsp", [9000.0, 12000.0]),
+    ("transport_cost", "gt", [0.0, 20.0, 60.0]),
+])
+def test_sweep_point_is_a_run_with_the_series_replaced(toy_instance, parameter, key, grid):
+    # scenario 2 with the emission floor trades CCS, so every swept price
+    # reaches the objective; the points start warm, the comparison runs cold
+    config = scenario_config(2, nonneg_emissions=True)
+    sw = sweep(toy_instance, config, parameter, grid)
+    assert len({p.objective_value for p in sw.points}) == len(grid)
+    for p in sw.points:
+        cold = run_scenario(_with_series(toy_instance, key, p.value), config)
+        assert p.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert p.reduction_pct == pytest.approx(cold.reduction_pct, rel=1e-9)
+
+
 def test_iteration_limit_is_scenario_error(unit_instance, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITERS", 0)
     with pytest.raises(ScenarioError, match="solver stopped early: iteration_limit after 0 iterations"):
@@ -192,7 +214,7 @@ def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
     warm = []
 
     def failing_assemble(instance, config):
-        return assemble(bad if config.overrides["cp"] == grid[1] else instance, config)
+        return assemble(bad if instance.globals.cp[0] == grid[1] else instance, config)
 
     def spy(lp, start=None):
         warm.append(start is not None)
@@ -205,6 +227,6 @@ def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
     assert [p.error for p in sw.points] == [None, "globals.alpha: alpha sums to 0.99", None, None]
     assert warm == [False, False, True]
     for p in sw.points[2:]:
-        cold = run_scenario(toy_instance, scenario_config(2).with_overrides(cp=p.value))
+        cold = run_scenario(_with_series(toy_instance, "cp", p.value), scenario_config(2))
         assert p.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert p.reduction_pct == pytest.approx(cold.reduction_pct, rel=1e-9)
