@@ -64,12 +64,9 @@ def contribution_shares(result: ScenarioResult) -> ContributionShares:
     """Cumulative tonnes offset by solar, wind, and CCS, plus end shares."""
     inst = result.instance
     plan = result.plan
-    by_tech = {}
-    for k, kind in enumerate(TECH_ORDER):
-        per_year = np.zeros(inst.T)
-        for i, region in enumerate(inst.regions):
-            per_year += region.tech[kind].g * plan.re_installed[i, k, :]
-        by_tech[kind] = np.cumsum(per_year)
+    # (K, T): each year's offsets added region by region, then accumulated
+    per_year = np.cumsum((inst.tech_array("g") * plan.re_installed).sum(axis=0), axis=1)
+    by_tech = dict(zip(TECH_ORDER, per_year))
     ccs = np.cumsum(plan.ccs_of_region().sum(axis=0))
     total = by_tech[TechKind.SOLAR][-1] + by_tech[TechKind.WIND][-1] + ccs[-1]
     if total > 0:
@@ -107,16 +104,11 @@ def cashflow(result: ScenarioResult) -> CashflowSeries:
     g = inst.globals
     cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
 
-    invest_re = np.zeros((n, T))
-    fit = np.zeros((n, T))
-    ets = np.zeros((n, T))
-    for i, region in enumerate(inst.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            rt = region.tech[kind]
-            re = plan.re_installed[i, k, :]
-            invest_re[i] += rt.rp * re
-            fit[i] += sp[kind] * rt.h * np.cumsum(re)
-            ets[i] += cp * rt.g * re
+    re = plan.re_installed  # (n, K, T); each sum below adds the techs in turn
+    fit_price = np.array([sp[kind] for kind in TECH_ORDER]) * inst.tech_array("h")[:, :, None]
+    invest_re = (inst.tech_array("rp") * re).sum(axis=1)
+    fit = (fit_price * np.cumsum(re, axis=2)).sum(axis=1)
+    ets = (cp * inst.tech_array("g") * re).sum(axis=1)
 
     invest_ccs = ccsp * plan.ccs_of_region()
     transport = np.zeros((n, T))

@@ -108,13 +108,11 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
     g = instance.globals
     cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
     c = np.zeros(index.num_vars)
-    # tail[k][t0] = sum of FIT prices from year t0 to the end: capacity
+    # tail[k, t0] = sum of FIT prices from year t0 to the end: capacity
     # installed at t earns electricity revenue in every remaining year
-    tail = {k: np.cumsum(sp[k][::-1])[::-1] for k in TECH_ORDER}
-    for i, region in enumerate(instance.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            rt = region.tech[kind]
-            c[index.re[i, k, :]] = rt.rp - cp * rt.g - rt.h * tail[kind]
+    tail = np.cumsum([sp[k][::-1] for k in TECH_ORDER], axis=1)[:, ::-1]
+    h = instance.tech_array("h")[:, :, None]
+    c[index.re] = instance.tech_array("rp") - cp * instance.tech_array("g") - h * tail
     for i in instance.sellers:
         c[index.ccs_s[i, :]] = ccsp
     for j in instance.buyers:
@@ -128,13 +126,8 @@ def offset_vector(instance: ModelInstance, index: VariableIndex) -> np.ndarray:
     """Tonnes of CO2 offset per unit of each decision variable: the conversion
     ratio g of an RE install, one tonne per tonne stored for every CCS variable."""
     v = np.ones(index.num_vars)
-    v[index.re] = [[region.tech[kind].g for kind in TECH_ORDER] for region in instance.regions]
+    v[index.re] = instance.tech_array("g")
     return v
-
-
-def _potentials(instance: ModelInstance) -> np.ndarray:
-    """(n, K) remaining economic potential per region and technology."""
-    return np.array([[r.tech[kind].potential for kind in TECH_ORDER] for r in instance.regions])
 
 
 def _year_and_region(index: VariableIndex):
@@ -192,7 +185,7 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
 
     # renewable potential rows: total installs per region-tech bounded by the
     # remaining economic potential (zero-potential pairs are fixed via bounds)
-    pot = _potentials(instance)
+    pot = instance.tech_array("potential")
     ii, kk = np.nonzero(pot > 0)
     cc = index.re[ii, kk, :]
     families.append((np.repeat(np.arange(len(ii)), T), cc.ravel(), np.ones(cc.size), pot[ii, kk],
@@ -236,7 +229,7 @@ def assemble(instance: ModelInstance, config: ScenarioConfig):
     """LinearProgram plus its variable index for a scenario configuration."""
     index = VariableIndex(instance)
     upper = np.full(index.num_vars, np.inf)
-    upper[index.re[_potentials(instance) <= 0]] = 0.0
+    upper[index.re[instance.tech_array("potential") <= 0]] = 0.0
     lp = LinearProgram(
         num_vars=index.num_vars,
         objective=build_objective(instance, index),

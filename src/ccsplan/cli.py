@@ -143,6 +143,8 @@ def cmd_run_all(parser, args) -> int:
 
 
 def cmd_sweep(parser, args) -> int:
+    if not np.isfinite([args.lo, args.hi]).all():
+        parser.error(f"--from {args.lo} and --to {args.hi} must be finite")
     if args.lo > args.hi:
         parser.error(f"--from {args.lo} exceeds --to {args.hi}")
     if args.steps < 1:

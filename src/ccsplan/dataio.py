@@ -118,13 +118,8 @@ def _load_series_file(path: Path, horizon: Horizon, errors):
                 values[int(row["year"])] = float(row["value"])
             except (KeyError, TypeError, ValueError):
                 errors.append(f"series/{path.name}:{lineno}: malformed row {row!r}")
-    out = np.zeros(horizon.num_years)
-    for t, year in enumerate(horizon.years):
-        if year not in values:
-            errors.append(f"year {year} missing in series {name}")
-        else:
-            out[t] = values[year]
-    return out
+    errors.extend(f"year {year} missing in series {name}" for year in horizon.years if year not in values)
+    return np.array([values.get(year, 0.0) for year in horizon.years])
 
 
 def load(path) -> ModelInstance:
@@ -275,6 +270,16 @@ def _write_lines(path: Path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_table(path: Path, columns: dict, keep=None):
+    """Write one CSV: a header of the column names, then one line per entry of
+    the columns broadcast together, in C order, leaving out the entries where
+    `keep` is False. String columns are written as they are, numeric ones
+    through `_fmt`."""
+    *arrays, mask = np.broadcast_arrays(*columns.values(), True if keep is None else keep)
+    cells = [a[mask] if a.dtype.kind == "U" else map(_fmt, a[mask].tolist()) for a in arrays]
+    _write_lines(path, [",".join(columns), *map(",".join, zip(*cells))])
+
+
 def _write_summary(path: Path, summary: dict):
     with open(path, "w", newline="\n") as fh:
         json.dump(_round9(summary), fh, indent=2, sort_keys=True)
@@ -295,78 +300,41 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
     cash = analytics.cashflow(result)
     trades = analytics.trade_matrix(result)
     payback = analytics.payback_year(cash)
-    years = list(inst.horizon.years)
-
-    lines = ["region,tech,year,amount,unit"]
-    for t, year in enumerate(years):
-        for i, region in enumerate(inst.regions):
-            for k, kind in enumerate(TECH_ORDER):
-                v = result.plan.re_installed[i, k, t]
-                if v != 0:
-                    lines.append(f"{region.id},{kind.value},{year},{_fmt(v)},GW")
-            v = result.plan.ccs_local[i, t]
-            if v != 0:
-                lines.append(f"{region.id},CCS,{year},{_fmt(v)},t")
-    _write_lines(out / "plan.csv", lines)
-
-    lines = ["region,year,tonnes"]
-    for i, region in enumerate(inst.regions):
-        for t, year in enumerate(years):
-            lines.append(f"{region.id},{year},{_fmt(result.emissions[i, t])}")
-    _write_lines(out / "emissions.csv", lines)
-
-    lines = ["year,from,to,tonnes"]
-    for t, year in enumerate(years):
-        for j in inst.buyers:
-            for i in inst.sellers:
-                v = result.plan.ccs_traded[j, i, t]
-                if v != 0:
-                    lines.append(f"{year},{inst.regions[j].id},{inst.regions[i].id},{_fmt(v)}")
-    _write_lines(out / "trades.csv", lines)
-
-    lines = [
-        "region,year,invest_re,invest_ccs,transport_cost,storage_fee_paid,"
-        "fit_revenue,ets_revenue,storage_fee_received,net"
-    ]
-    net = cash.net()
-    for i, region in enumerate(inst.regions):
-        for t, year in enumerate(years):
-            lines.append(
-                f"{region.id},{year},{_fmt(cash.invest_re[i, t])},{_fmt(cash.invest_ccs[i, t])},"
-                f"{_fmt(cash.transport_cost[i, t])},{_fmt(cash.storage_fee_paid[i, t])},"
-                f"{_fmt(cash.fit_revenue[i, t])},{_fmt(cash.ets_revenue[i, t])},"
-                f"{_fmt(cash.storage_fee_received[i, t])},{_fmt(net[i, t])}"
-            )
-    _write_lines(out / "cashflow.csv", lines)
-
-    lines = ["year,solar_t,wind_t,ccs_t"]
-    for t, year in enumerate(years):
-        lines.append(f"{year},{_fmt(shares.solar_t[t])},{_fmt(shares.wind_t[t])},{_fmt(shares.ccs_t[t])}")
-    _write_lines(out / "plotdata" / "fig13.csv", lines)
-
+    plan = result.plan
     cum = cash.cumulative_net()
-    lines = [
-        "year,invest_re,invest_ccs,transport_cost,storage_fee_paid,"
-        "fit_revenue,ets_revenue,cumulative_net"
-    ]
-    for t, year in enumerate(years):
-        lines.append(
-            f"{year},{_fmt(cash.invest_re[:, t].sum())},{_fmt(cash.invest_ccs[:, t].sum())},"
-            f"{_fmt(cash.transport_cost[:, t].sum())},{_fmt(cash.storage_fee_paid[:, t].sum())},"
-            f"{_fmt(cash.fit_revenue[:, t].sum())},{_fmt(cash.ets_revenue[:, t].sum())},{_fmt(cum[t])}"
-        )
-    _write_lines(out / "plotdata" / "fig14.csv", lines)
+    ids = np.array([r.id for r in inst.regions])
+    years = np.array(inst.horizon.years).astype(str)
 
-    ccs = result.plan.ccs_of_region()
-    lines = ["year,region,solar_gw,wind_gw,ccs_t"]
-    for t, year in enumerate(years):
-        for i, region in enumerate(inst.regions):
-            lines.append(
-                f"{year},{region.id},{_fmt(result.plan.re_installed[i, 0, t])},"
-                f"{_fmt(result.plan.re_installed[i, 1, t])},"
-                f"{_fmt(ccs[i, t])}"
-            )
-    _write_lines(out / "plotdata" / "deployment.csv", lines)
+    amount = np.concatenate([plan.re_installed.transpose(2, 0, 1), plan.ccs_local.T[:, :, None]], axis=2)
+    _write_table(out / "plan.csv", {  # (t, i, solar/wind/CCS)
+        "region": ids[:, None], "tech": [kind.value for kind in TECH_ORDER] + ["CCS"],
+        "year": years[:, None, None], "amount": amount, "unit": ["GW"] * len(TECH_ORDER) + ["t"],
+    }, keep=amount != 0)
+    _write_table(out / "emissions.csv", {"region": ids[:, None], "year": years, "tonnes": result.emissions})
+    buyers, sellers = list(inst.buyers), list(inst.sellers)
+    tonnes = plan.ccs_traded[np.ix_(buyers, sellers)].transpose(2, 0, 1)  # (t, buyer, seller)
+    _write_table(out / "trades.csv", {
+        "year": years[:, None, None], "from": ids[buyers][:, None], "to": ids[sellers], "tonnes": tonnes,
+    }, keep=tonnes != 0)
+    flows = {f: getattr(cash, f) for f in (
+        "invest_re", "invest_ccs", "transport_cost", "storage_fee_paid", "fit_revenue", "ets_revenue")}
+    _write_table(out / "cashflow.csv", {
+        "region": ids[:, None], "year": years, **flows,
+        "storage_fee_received": cash.storage_fee_received, "net": cash.net(),
+    })
+    _write_table(out / "plotdata" / "fig13.csv", {
+        "year": years, "solar_t": shares.solar_t, "wind_t": shares.wind_t, "ccs_t": shares.ccs_t,
+    })
+    # national yearly sums: a contiguous row per year adds its regions pairwise,
+    # as f[:, t].sum() does; f.sum(axis=0) adds them in turn and can move last digits
+    _write_table(out / "plotdata" / "fig14.csv", {
+        "year": years, **{k: np.ascontiguousarray(f.T).sum(axis=1) for k, f in flows.items()},
+        "cumulative_net": cum,
+    })
+    _write_table(out / "plotdata" / "deployment.csv", {
+        "year": years[:, None], "region": ids, "solar_gw": plan.re_installed[:, 0].T,
+        "wind_gw": plan.re_installed[:, 1].T, "ccs_t": plan.ccs_of_region().T,
+    })
 
     summary = {
         "scenario": scenario_id,
@@ -385,8 +353,8 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         ),
         "any_trading": trades.any_trading,
         "total_traded_t": trades.total_traded_t,
-        "total_re_gw": float(result.plan.re_installed.sum()),
-        "total_ccs_t": float(result.plan.ccs_local.sum() + result.plan.ccs_traded.sum()),
+        "total_re_gw": float(plan.re_installed.sum()),
+        "total_ccs_t": float(plan.ccs_local.sum() + plan.ccs_traded.sum()),
         "cumulative_net_yen": float(cum[-1]),
     }
     _write_summary(out / "summary.json", summary)

@@ -125,6 +125,11 @@ class ModelInstance:
     def baseline_total(self) -> float:
         return float(sum(r.baseline_emissions for r in self.regions))
 
+    def tech_array(self, field: str) -> np.ndarray:
+        """One `RegionTech` field of every region and technology: (n, K) for
+        the scalars h and potential, (n, K, T) for the series g and rp."""
+        return np.array([[getattr(r.tech[kind], field) for kind in TECH_ORDER] for r in self.regions], dtype=float)
+
 
 def great_circle_km(a: tuple, b: tuple) -> float:
     """Haversine distance between two (lat, lon) points in degrees."""

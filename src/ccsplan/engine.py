@@ -15,7 +15,7 @@ from .builder import (
     offset_vector,
     scenario_config,
 )
-from .domain import TECH_ORDER, ModelInstance, ValidationError
+from .domain import NUM_TECH, ModelInstance, ValidationError
 from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status, violated_rows
 from .simplex import BASIC, solve
 
@@ -83,11 +83,10 @@ class SweepResult:
 
 def compute_emissions(instance: ModelInstance, plan: DeploymentPlan) -> np.ndarray:
     """Per-region emission paths via the telescoped recursion (no re-solve)."""
-    n, T = instance.n, instance.T
-    offs = plan.ccs_of_region().copy()
-    for i, region in enumerate(instance.regions):
-        for k, kind in enumerate(TECH_ORDER):
-            offs[i, :] += region.tech[kind].g * plan.re_installed[i, k, :]
+    offs = plan.ccs_of_region()
+    g = instance.tech_array("g")
+    for k in range(NUM_TECH):  # each technology added in turn onto the CCS offsets
+        offs += g[:, k] * plan.re_installed[:, k]
     baselines = np.array([r.baseline_emissions for r in instance.regions])
     return baselines[:, None] - np.cumsum(offs, axis=1)
 
@@ -199,10 +198,10 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     if parameter not in PARAMETER_KEYS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {sorted(PARAMETER_KEYS)}")
     grid = [float(v) for v in grid]
+    if not all(0.0 <= v < np.inf for v in grid):
+        raise ValueError("grid values must be finite and >= 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if any(v < 0 for v in grid):
-        raise ValueError("grid values must be >= 0")
     key = PARAMETER_KEYS[parameter]
 
     points = []

@@ -231,7 +231,7 @@ def test_run_all_writes_four_bundles(tmp_path, capsys):
     assert capsys.readouterr().out.count("optimal") == 4
 
 
-def test_sweep_usage_errors():
+def test_sweep_usage_errors(capsys, tmp_path):
     base = ["sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price"]
     with pytest.raises(SystemExit) as exc:
         main(base + ["--from", "10", "--to", "5", "--steps", "2", "--out", "/tmp/x"])
@@ -242,6 +242,12 @@ def test_sweep_usage_errors():
     with pytest.raises(SystemExit) as exc:  # sweep points always run one after another
         main(base + ["--from", "1", "--to", "5", "--steps", "2", "--jobs", "1", "--out", "/tmp/x"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for lo, hi in (("nan", "1"), ("0", "inf")):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--from", lo, "--to", hi, "--steps", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_sweep_writes_summary(tmp_path):

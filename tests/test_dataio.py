@@ -1,9 +1,11 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccsplan.builder import COST_ONLY, scenario_config
+from ccsplan.builder import COST_ONLY, DeploymentPlan, scenario_config
 from ccsplan.dataio import (
     DataError,
     _fmt,
@@ -13,8 +15,8 @@ from ccsplan.dataio import (
     write_results,
     write_sweep,
 )
-from ccsplan.domain import TechKind
-from ccsplan.engine import SweepPoint, SweepResult, run_scenario
+from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region, RegionTech, TechKind
+from ccsplan.engine import ScenarioResult, SweepPoint, SweepResult, compute_emissions, run_scenario
 
 from conftest import make_unit_instance
 
@@ -204,3 +206,102 @@ def test_write_sweep_rows_and_byte_stability(tmp_path):
     assert summary["points"][1]["error"] == bad.error
     for name in ("sweep.csv", "summary.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def two_by_two_result():
+    """A hand-made plan on two regions and two years, with both technologies,
+    one trade and some zero entries; no solve, so every cell can be checked
+    by hand."""
+
+    def tech(g, rp, h, potential):
+        return RegionTech(g=np.array(g), rp=np.array(rp), h=h, potential=potential)
+
+    north = Region("north", 60.0, {TechKind.SOLAR: tech([10.0, 10.0], [8.0, 6.0], 1.0, 5.0),
+                                   TechKind.WIND: tech([20.0, 20.0], [12.0, 12.0], 2.0, 3.0)},
+                   ccs_capacity=100.0, location=(0.0, 0.0))
+    south = Region("south", 40.0, {TechKind.SOLAR: tech([5.0, 5.0], [7.0, 7.0], 1.0, 4.0),
+                                   TechKind.WIND: tech([8.0, 8.0], [10.0, 9.0], 2.0, 2.0)},
+                   ccs_capacity=0.0, location=(0.0, 1.0))
+    prices = GlobalParams(
+        cp=np.array([1.0, 2.0]), ccsp=np.array([0.5, 0.5]), gt=np.array([0.01, 0.01]),
+        cap=np.array([np.inf, 50.0]),
+        sp={TechKind.SOLAR: np.array([2.0, 1.0]), TechKind.WIND: np.array([1.0, 1.0])},
+    )
+    inst = ModelInstance(Horizon(2030, 2), [north, south], prices,
+                         distances=np.array([[0.0, 100.0], [100.0, 0.0]]))
+    re = np.zeros((2, 2, 2))  # (region, tech, year)
+    re[0, 0, 0], re[0, 1, 1], re[1, 0, 1], re[1, 1, 0] = 1.0, 0.5, 2.0, 1.5
+    traded = np.zeros((2, 2, 2))  # (buyer, seller, year)
+    traded[1, 0, 1] = 4.0
+    plan = DeploymentPlan(re_installed=re, ccs_local=np.array([[3.0, 0.0], [0.0, 0.0]]), ccs_traded=traded)
+    return ScenarioResult(config=scenario_config(1), instance=inst, plan=plan,
+                          emissions=compute_emissions(inst, plan), objective_value=0.0,
+                          reduction_pct=0.0, solve_stats={})
+
+
+def test_every_bundle_csv_on_two_regions_and_two_years(tmp_path):
+    write_results(two_by_two_result(), tmp_path, scenario_id=1)
+    expected = {
+        # year-major, zero amounts left out
+        "plan.csv": [
+            "region,tech,year,amount,unit",
+            "north,solar,2030,1,GW",
+            "north,CCS,2030,3,t",
+            "south,wind,2030,1.5,GW",
+            "north,wind,2031,0.5,GW",
+            "south,solar,2031,2,GW",
+        ],
+        # region-major
+        "emissions.csv": [
+            "region,year,tonnes",
+            "north,2030,47",
+            "north,2031,37",
+            "south,2030,28",
+            "south,2031,14",
+        ],
+        "trades.csv": [
+            "year,from,to,tonnes",
+            "2031,south,north,4",
+        ],
+        "cashflow.csv": [
+            "region,year,invest_re,invest_ccs,transport_cost,storage_fee_paid,"
+            "fit_revenue,ets_revenue,storage_fee_received,net",
+            "north,2030,8,1.5,0,0,2,10,0,2.5",
+            "north,2031,6,0,0,0,2,20,8,16",
+            "south,2030,15,0,0,0,3,12,0,0",
+            "south,2031,14,2,4,8,5,20,0,-3",
+        ],
+        "plotdata/fig13.csv": [
+            "year,solar_t,wind_t,ccs_t",
+            "2030,10,12,3",
+            "2031,20,22,7",
+        ],
+        "plotdata/fig14.csv": [
+            "year,invest_re,invest_ccs,transport_cost,storage_fee_paid,fit_revenue,ets_revenue,cumulative_net",
+            "2030,23,1.5,0,0,5,22,2.5",
+            "2031,20,2,4,8,7,40,15.5",
+        ],
+        "plotdata/deployment.csv": [
+            "year,region,solar_gw,wind_gw,ccs_t",
+            "2030,north,1,0,3",
+            "2030,south,0,1.5,0",
+            "2031,north,0,0.5,0",
+            "2031,south,2,0,4",
+        ],
+    }
+    for rel, lines in expected.items():
+        assert (tmp_path / rel).read_bytes() == ("\n".join(lines) + "\n").encode(), rel
+
+
+def test_shipped_toy_nation_matches_its_generator(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "gen_toy_nation.py"
+    spec = importlib.util.spec_from_file_location("gen_toy_nation", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.OUT = tmp_path
+    gen.main()
+    shipped = toy_nation_path()
+    names = sorted(p.relative_to(shipped) for p in shipped.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    for rel in names:
+        assert (tmp_path / rel).read_bytes() == (shipped / rel).read_bytes(), rel

@@ -87,6 +87,9 @@ def test_sweep_grid_validation(unit_instance):
         sweep(unit_instance, config, "carbon_price", [2.0, 1.0])
     with pytest.raises(ValueError, match=">= 0"):
         sweep(unit_instance, config, "carbon_price", [-1.0, 1.0])
+    for grid in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep(unit_instance, config, "carbon_price", grid)
 
 
 def test_sweep_identity_point_reproduces_baseline(unit_instance):
