@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=float, required=True, help="grid end")
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 1)")
     p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default="cost")
+    p.add_argument("--ccs-nonneg-emissions", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="print the summary of a written result bundle")
@@ -150,7 +151,11 @@ def cmd_sweep(parser, args) -> int:
     if args.steps < 1:
         parser.error("--steps must be >= 1")
     instance = _load(parser, args)
-    config = scenario_config(args.scenario, objective_mode=OBJECTIVE_MODES[args.objective])
+    config = scenario_config(
+        args.scenario,
+        objective_mode=OBJECTIVE_MODES[args.objective],
+        nonneg_emissions=args.ccs_nonneg_emissions,
+    )
     grid = np.linspace(args.lo, args.hi, args.steps) if args.steps > 1 else np.array([args.lo])
     try:
         result = engine.sweep(instance, config, SWEEP_PARAMS[args.param], grid.tolist())

@@ -204,6 +204,8 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
         errors.append(f"horizon.num_years: {T} < 1")
         raise ValidationError(errors)
 
+    if not raw.regions:
+        errors.append("regions: no region given")
     seen = set()
     for r in raw.regions:
         if r.id in seen:

@@ -55,6 +55,7 @@ class ScenarioResult:
     reduction_pct: float
     solve_stats: dict
     basis: np.ndarray | None = None  # final basis of the first solve (stage 1 in lex mode)
+    row_names: list | None = None  # the rows of that solve, whose slacks close `basis`
 
     @property
     def total_offset(self) -> float:
@@ -103,19 +104,34 @@ def _raise_for_status(lp: LinearProgram, sol) -> None:
     raise ScenarioError(f"solver stopped early: {sol.status.value} after {sol.iterations} iterations")
 
 
-def run_scenario(instance: ModelInstance, config: ScenarioConfig, start=None) -> ScenarioResult:
+def _carry_basis(prev: ScenarioResult | None, lp: LinearProgram):
+    """`prev`'s final basis as a start for `lp`: structural statuses as they
+    are, slack statuses matched by row name, and a basic slack on each row
+    that `prev` did not have. None when `prev` has no basis."""
+    if prev is None or prev.basis is None:
+        return None
+    n = len(prev.basis) - len(prev.row_names)
+    slack = dict(zip(prev.row_names, prev.basis[n:]))
+    return np.r_[prev.basis[:n], [slack.get(name, BASIC) for name in lp.rows.names]].astype(np.int8)
+
+
+def run_scenario(
+    instance: ModelInstance, config: ScenarioConfig, start: ScenarioResult | None = None
+) -> ScenarioResult:
     """Assemble, solve, and post-process one scenario configuration.
 
     In max-reduction mode, stage 1 maximises the total offset subject to the
     scenario constraints; stage 2 minimises cost among the (near-)maximisers,
     starting from the stage-1 optimal basis with the new row's slack basic.
-    `start` seeds the first solve (the only one in cost mode, stage 1 in lex
-    mode) with a basis, such as `ScenarioResult.basis` of the same program.
+    `start`, an earlier result on an instance with the same variables, seeds
+    the first solve (the only one in cost mode, stage 1 in lex mode) with its
+    final basis carried over to this program's rows (see `_carry_basis`).
     """
     try:
         lp, index = assemble(instance, config)
     except (ValidationError, InvalidProgramError) as exc:
         raise ScenarioError(str(exc)) from exc
+    start = _carry_basis(start, lp)
     stats = {}
 
     if config.objective_mode == MAX_REDUCTION_LEX:
@@ -129,8 +145,7 @@ def run_scenario(instance: ModelInstance, config: ScenarioConfig, start=None) ->
         lex_row = Row(idx=nz, val=off[nz], sense=GE, rhs=floor, name="lex_reduction")
         lp2 = replace(lp, rows=lp.rows + Rows.stack([lex_row], lp.num_vars))
         # the stage-1 optimum meets the lex row with slack max - floor >= 0
-        start2 = None if sol1.basis is None else np.append(sol1.basis, BASIC)
-        sol = solve(lp2, start2)
+        sol = solve(lp2, np.append(sol1.basis, BASIC))
         _raise_for_status(lp2, sol)
         achieved = float(off @ sol.x)
         if achieved < floor - 1e-6 * (1.0 + abs(floor)):
@@ -168,6 +183,7 @@ def run_scenario(instance: ModelInstance, config: ScenarioConfig, start=None) ->
         reduction_pct=reduction_pct,
         solve_stats=stats,
         basis=first.basis,
+        row_names=lp.rows.names,
     )
 
 
@@ -177,12 +193,18 @@ def run_all(
     nonneg_emissions: bool = False,
 ) -> dict:
     """Scenarios 1-4 on a shared instance. Failures are isolated per scenario:
-    the mapped value is then the ScenarioError instead of a result."""
+    the mapped value is then the ScenarioError instead of a result.
+
+    S2 is S1 with the mix rows added and S4 is S3 with them, so S2 starts
+    from S1's final basis and S4 from S3's (cold after a failed predecessor);
+    the first solve of S2 and S4 then reports `warm_start`, unless the
+    all-slack start is already feasible and wins (see `simplex.solve`)."""
     out = {}
     for sid in (1, 2, 3, 4):
         config = scenario_config(sid, objective_mode=objective_mode, nonneg_emissions=nonneg_emissions)
+        prev = out.get(sid - 1) if sid in (2, 4) else None
         try:
-            out[sid] = run_scenario(instance, config)
+            out[sid] = run_scenario(instance, config, prev if isinstance(prev, ScenarioResult) else None)
         except ScenarioError as exc:
             out[sid] = exc
     return out
@@ -205,18 +227,17 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     key = PARAMETER_KEYS[parameter]
 
     points = []
-    basis = None
+    prev = None
     for value in grid:
         point = SweepPoint(value=value)
         points.append(point)
         prices = replace(instance.globals, **{key: np.full(instance.T, value)})
         try:
-            res = run_scenario(replace(instance, globals=prices), config, basis)
+            res = prev = run_scenario(replace(instance, globals=prices), config, prev)
         except ScenarioError as exc:
             point.error = str(exc)
-            basis = None
+            prev = None
             continue
-        basis = res.basis
         point.reduction_pct = res.reduction_pct
         point.objective_value = res.objective_value
         point.any_trading = bool(res.plan.ccs_traded.sum() > 0)

@@ -157,9 +157,12 @@ class LpSolution:
     factorizations: int = 0  # fresh LU factorisations of the basis, both phases
     phase1_iterations: int = 0  # iterations spent reaching feasibility
     # BASIC/AT_LOWER/AT_UPPER status of the n structural and m slack variables
-    # at the final iterate; None unless OPTIMAL with no artificial basic
+    # at the final iterate (an artificial left basic counts as its row's
+    # slack); None unless OPTIMAL
     basis: np.ndarray | None = None
-    warm_start: bool = False  # ran from the given start (with phase 1 if it had an artificial)
+    # ran from the given start (with phase 1 if it had an artificial); False
+    # when the start was unusable or lost to a feasible all-slack start
+    warm_start: bool = False
 
 
 @dataclass

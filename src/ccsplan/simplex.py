@@ -13,12 +13,15 @@ pricing finds no candidate while etas are pending, the basis is refactorised
 and priced again. Deterministic: identical inputs give bit-identical output.
 
 Every solve starts from a basis through `_start`: the given `start` (the
-`LpSolution.basis` of an earlier solve of a program with the same rows and
-bounds, or with rows appended whose slacks are basic) if it is usable, else
-the all-slack basis, which is the cold start. A basic slack outside its
-bounds gets an artificial on its row, and phase 1 runs whenever there is one;
-otherwise phase 2 runs from the start, on the LU factorisation made to check
-it.
+`LpSolution.basis` of an earlier solve of a program with the same columns,
+its rows' slack statuses carried over and any new row's slack basic) if it
+is usable, else the all-slack basis, which is the cold start. A basic slack
+outside its bounds gets an artificial on its row, and phase 1 runs whenever
+there is one; otherwise phase 2 runs from the start, on the LU factorisation
+made to check it. A given start that needs phase 1 loses to an all-slack
+basis that is already feasible. At an optimum, an artificial still basic (at
+zero) gives its place in the returned basis to its row's slack, so an
+optimal solve always returns a basis to start a later solve from.
 """
 from __future__ import annotations
 
@@ -270,9 +273,15 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
 
     `start` is a basis to run from, as in `LpSolution.basis`: one status per
     structural and slack variable. An unusable start (see `_start`) falls
-    back to the cold start, the all-slack basis. `warm_start` in the result
-    says whether the solve ran from `start`; phase 1 runs from either start
-    if a basic slack lies outside its bounds."""
+    back to the cold start, the all-slack basis, and so does a start that
+    needs phase 1 when the all-slack basis is feasible (tested on the scaled
+    b - A lb against the slack bounds, with no factorisation). `warm_start`
+    in the result says whether the solve ran from `start`; phase 1 runs from
+    either start if a basic slack lies outside its bounds.
+
+    `basis` in the result is None unless the status is Optimal; an
+    artificial left basic at zero is replaced there by its row's slack,
+    whose column is the same up to sign."""
     lp.validate()
     n = lp.num_vars
     A = lp.matrix()
@@ -287,12 +296,18 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     ub = lp.upper / cs
     c_struct = lp.objective * cs
 
-    slacks = sp.diags(np.where(sense == GE, -1.0, 1.0), shape=(m, m), format="csc")
+    sign = np.where(sense == GE, -1.0, 1.0)  # each slack's coefficient
+    slacks = sp.diags(sign, shape=(m, m), format="csc")
     A_std = sp.hstack([As, slacks], format="csc")
     lb_all = np.concatenate([lb, np.zeros(m)])
     ub_all = np.concatenate([ub, np.where(sense == EQ, 0.0, np.inf)])
 
     init = None if start is None else _start(A_std, bs, lb_all, ub_all, start)
+    if init is not None and init[0].shape[1] > n + m:
+        # the start needs phase 1; the all-slack start wins if it does not
+        s = (bs - As @ lb) * sign
+        if ((s >= -FEAS_TOL) & (s <= ub_all[n:] + FEAS_TOL)).all():
+            init = None
     warm_start = init is not None
     if not warm_start:
         slack_basis = np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
@@ -305,7 +320,12 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     def finish(status):
         x_orig = x[:n] * cs
         rep = check_solution(lp, x_orig)
-        usable = status == Status.OPTIMAL and (basis < n + m).all()  # no artificial basic
+        final = None
+        if status == Status.OPTIMAL:
+            # a basic artificial (at 0) gives its place to its row's slack,
+            # whose column is the same up to sign
+            final = vstat[: n + m].copy()
+            final[n + A_std.indices[A_std.indptr[basis[basis >= n + m]]]] = BASIC
         return LpSolution(
             status=status,
             x=x_orig,
@@ -315,7 +335,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             ray_var=loop.ray_var,
             factorizations=loop.factorizations,
             phase1_iterations=phase1_iterations,
-            basis=vstat[: n + m].copy() if usable else None,
+            basis=final,
             warm_start=warm_start,
         )
 

@@ -141,38 +141,46 @@ def _short_tech_row(data):
     (data / "tech.csv").write_text("\n".join(lines) + "\n")
 
 
+def _no_regions(data):
+    for name in ("regions.csv", "tech.csv"):  # header lines only
+        header = (data / name).read_text().splitlines()[0]
+        (data / name).write_text(header + "\n")
+
+
 @pytest.mark.parametrize(
-    "edit, field",
+    "edit, field, error",
     [
-        pytest.param(_edit_globals(["horizon", "start_year"], "abc"), "horizon.start_year", id="start-year-text"),
-        pytest.param(_edit_globals(["horizon", "num_years"], None), "horizon.num_years", id="num-years-null"),
-        pytest.param(_edit_globals(["horizon", "num_years"], -3), "horizon.num_years", id="num-years-negative"),
-        pytest.param(_edit_globals(["horizon"], [2018, 33]), "globals.json: horizon", id="horizon-list"),
-        pytest.param(_edit_globals(["units"], "t"), "globals.json: units", id="units-text"),
-        pytest.param(_edit_globals(["sp"], [1.0]), "globals.json: sp", id="sp-list"),
-        pytest.param(_edit_globals([], []), "globals.json: expected a JSON object", id="globals-list"),
-        pytest.param(_edit_globals(["alpha", "solar"], "x"), "alpha.solar", id="alpha-text"),
-        pytest.param(_edit_globals(["gt"], {"constant": "x"}), "gt.constant", id="gt-constant-text"),
-        pytest.param(_edit_globals(["units", "co2_mass"], ["t"]), "units.co2_mass", id="mass-unit-list"),
-        pytest.param(_edit_globals(["horizon", "num_years"], 33.9), "horizon.num_years", id="num-years-fraction"),
-        pytest.param(_edit_globals(["horizon", "start_year"], True), "horizon.start_year", id="start-year-bool"),
-        pytest.param(_short_tech_row, "tech.csv:2", id="short-tech-row"),
-        pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1e7t"), "regions.csv:2: C0_tonnes", id="c0-text"),
-        pytest.param(_edit_csv("tech.csv", "potential_gw", "four"), "tech.csv:2: potential_gw", id="potential-text"),
-        pytest.param(_distances_with_bad_km, "distances.csv:2: km", id="km-text"),
+        pytest.param(_edit_globals(["horizon", "start_year"], "abc"), "horizon.start_year", DataError, id="start-year-text"),
+        pytest.param(_edit_globals(["horizon", "num_years"], None), "horizon.num_years", DataError, id="num-years-null"),
+        pytest.param(_edit_globals(["horizon", "num_years"], -3), "horizon.num_years", DataError, id="num-years-negative"),
+        pytest.param(_edit_globals(["horizon"], [2018, 33]), "globals.json: horizon", DataError, id="horizon-list"),
+        pytest.param(_edit_globals(["units"], "t"), "globals.json: units", DataError, id="units-text"),
+        pytest.param(_edit_globals(["sp"], [1.0]), "globals.json: sp", DataError, id="sp-list"),
+        pytest.param(_edit_globals([], []), "globals.json: expected a JSON object", DataError, id="globals-list"),
+        pytest.param(_edit_globals(["alpha", "solar"], "x"), "alpha.solar", DataError, id="alpha-text"),
+        pytest.param(_edit_globals(["gt"], {"constant": "x"}), "gt.constant", DataError, id="gt-constant-text"),
+        pytest.param(_edit_globals(["units", "co2_mass"], ["t"]), "units.co2_mass", DataError, id="mass-unit-list"),
+        pytest.param(_edit_globals(["horizon", "num_years"], 33.9), "horizon.num_years", DataError, id="num-years-fraction"),
+        pytest.param(_edit_globals(["horizon", "start_year"], True), "horizon.start_year", DataError, id="start-year-bool"),
+        pytest.param(_short_tech_row, "tech.csv:2", DataError, id="short-tech-row"),
+        pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1e7t"), "regions.csv:2: C0_tonnes", DataError, id="c0-text"),
+        pytest.param(_edit_csv("tech.csv", "potential_gw", "four"), "tech.csv:2: potential_gw", DataError, id="potential-text"),
+        pytest.param(_distances_with_bad_km, "distances.csv:2: km", DataError, id="km-text"),
+        pytest.param(_no_regions, "regions: no region given", ValidationError, id="no-regions"),
     ],
 )
-def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field):
+def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field, error):
     data = tmp_path / "d"
     shutil.copytree(DATA, data)
     edit(data)
-    with pytest.raises(DataError, match=re.escape(field)):
+    with pytest.raises(error, match=re.escape(field)):
         load_validated(data)
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--data", str(data)])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
+    for argv in (["validate"], ["solve", "--scenario", "1", "--out", str(tmp_path / "out")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--data", str(data)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
 
 def _bad_alpha_dataset(root):
@@ -264,6 +272,20 @@ def test_sweep_writes_summary(tmp_path):
     assert summary["parameter"] == "carbon_price"
     assert summary["monotone"] is True
     assert len(summary["points"]) == 2
+
+
+def test_sweep_reaches_the_trading_regime(tmp_path):
+    # without the emission floor no scenario trades CCS on toy-nation
+    code = main([
+        "sweep", "--data", DATA, "--scenario", "2", "--param", "transport-cost",
+        "--from", "0", "--to", "60", "--steps", "3", "--ccs-nonneg-emissions",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    points = json.loads((tmp_path / "summary.json").read_text())["points"]
+    assert [p["any_trading"] for p in points] == [True, True, True]
+    objectives = [p["objective"] for p in points]
+    assert objectives[0] < objectives[1] < objectives[2]
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ccsplan.engine import (
     run_scenario,
     sweep,
 )
-from ccsplan.lp import LpSolution, Status
+from ccsplan.lp import GE, LinearProgram, LpSolution, Row, Status
 
 from conftest import make_trade_instance, make_unit_instance
 
@@ -200,11 +201,60 @@ def test_lex_stage_two_starts_from_stage_one(toy_results_lex):
 
 def test_start_seeds_the_first_solve(toy_instance, toy_results_cost):
     cold = toy_results_cost[3]
-    warm = run_scenario(toy_instance, scenario_config(3), start=cold.basis)
+    warm = run_scenario(toy_instance, scenario_config(3), start=cold)
     assert not cold.solve_stats["warm_start"]
     assert warm.solve_stats["warm_start"] and warm.solve_stats["iterations"] == 0
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
     np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+@pytest.mark.parametrize(
+    "mode, nonneg", [(COST_ONLY, False), (MAX_REDUCTION_LEX, False), (COST_ONLY, True)], ids=["cost", "lex", "cost-nonneg"]
+)
+def test_run_all_chains_s2_and_s4_to_the_cold_optimum(toy_instance, toy_results_cost, toy_results_lex, mode, nonneg):
+    out = run_all(toy_instance, objective_mode=mode, nonneg_emissions=nonneg)
+    first = "stage1_warm_start" if mode == MAX_REDUCTION_LEX else "warm_start"
+    assert [out[sid].solve_stats[first] for sid in (1, 2, 3, 4)] == [False, True, False, True]
+    for sid in (2, 4):
+        if nonneg:
+            cold = run_scenario(toy_instance, scenario_config(sid, objective_mode=mode, nonneg_emissions=True))
+        else:
+            cold = (toy_results_lex if mode == MAX_REDUCTION_LEX else toy_results_cost)[sid]
+        assert not cold.solve_stats[first]
+        assert out[sid].objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert out[sid].reduction_pct == pytest.approx(cold.reduction_pct, abs=1e-6)
+
+
+def test_carried_basis_matches_slacks_by_row_name():
+    # the new row sits between the two old ones, as the mix rows sit between
+    # the potential rows and the emission floors
+    rows = [Row(idx=np.array([0]), val=np.array([1.0]), sense=GE, rhs=0.0, name=nm) for nm in ("a", "new", "b")]
+    lp = LinearProgram(num_vars=2, objective=np.zeros(2), rows=rows, lower=np.zeros(2), upper=np.full(2, np.inf))
+    B, L = simplex.BASIC, simplex.AT_LOWER
+    prev = SimpleNamespace(basis=np.array([B, L, B, L], dtype=np.int8), row_names=["a", "b"])
+    np.testing.assert_array_equal(engine._carry_basis(prev, lp), [B, L, B, B, L])
+    assert engine._carry_basis(SimpleNamespace(basis=None, row_names=None), lp) is None
+
+
+def test_run_all_starts_cold_after_a_failed_predecessor(toy_instance, monkeypatch):
+    assemble, solve = engine.assemble, engine.solve
+    warm = []
+
+    def failing_assemble(instance, config):
+        if config == scenario_config(1):
+            raise engine.ValidationError(["forced failure"])
+        return assemble(instance, config)
+
+    def spy(lp, start=None):
+        warm.append(start is not None)
+        return solve(lp, start)
+
+    monkeypatch.setattr(engine, "assemble", failing_assemble)
+    monkeypatch.setattr(engine, "solve", spy)
+    out = run_all(toy_instance)
+    assert isinstance(out[1], ScenarioError)
+    assert warm == [False, False, True]  # S2 cold, S3 cold, S4 from S3
+    assert not out[2].solve_stats["warm_start"] and out[4].solve_stats["warm_start"]
 
 
 def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):

@@ -168,6 +168,12 @@ B, L, U = BASIC, AT_LOWER, AT_UPPER
         pytest.param(warm_lp(), [L, B, B, L, L], id="singular"),
         pytest.param(warm_lp(), [B, L, L, B, L], id="structural-out-of-bounds"),  # x0 would be -1
         pytest.param(warm_lp(), [L, L, B, B, 7], id="unknown-status"),
+        # x0 at its upper bound 5 puts the slack at 4 - 5 < 0, so the start
+        # needs phase 1, while the all-slack start (x = 0) is feasible
+        pytest.param(
+            lp_of([-1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], ["<=", "<="], [4.0, 2.0], upper=[5.0, np.inf]),
+            [U, L, B, B], id="needs-phase-one-against-a-feasible-slack-start",
+        ),
         # two equal columns in two equal rows: solving with B would give 0/0
         pytest.param(
             lp_of([-1.0, -2.0], [[1.0, 1.0], [1.0, 1.0]], ["<=", "<="], [4.0, 4.0]), [B, B, L, L],
@@ -218,14 +224,17 @@ def test_start_lu_factorises_the_basis_with_artificials():
     np.testing.assert_allclose(A[:, basis] @ lu_solve(lu, r), r, rtol=1e-14)
 
 
-def test_no_basis_while_an_artificial_stays_basic():
+def test_left_over_artificial_gives_its_place_to_its_slack():
     # the second row is twice the first: phase 1 pivots one artificial out and
-    # the other stays basic at zero
+    # the other, on the second row, stays basic at zero
     lp = lp_of([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], ["=", "="], [2.0, 4.0])
     sol = solve(lp)
-    assert sol.status == Status.OPTIMAL
+    assert sol.status == Status.OPTIMAL and sol.phase1_iterations > 0
     assert sol.objective_value == pytest.approx(2.0)
-    assert sol.basis is None
+    np.testing.assert_array_equal(sol.basis, [B, L, L, B])  # x0 and the second row's slack
+    again = solve(lp, start=sol.basis)
+    assert again.warm_start and again.phase1_iterations == 0
+    assert again.objective_value == sol.objective_value
 
 
 def test_scaling_toggle_agrees(monkeypatch):
