@@ -341,6 +341,7 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         "objective_mode": result.config.objective_mode,
         "ccs_limit_mode": result.config.ccs_limit_mode,
         "resilience": result.config.resilience_enabled,
+        "nonneg_emissions": result.config.nonneg_emissions,
         "status": result.solve_stats.get("status", "optimal"),
         "objective_yen": result.objective_value,
         "reduction_pct": result.reduction_pct,
@@ -361,11 +362,14 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
     return summary
 
 
-def write_sweep(result: SweepResult, out_path, scenario_id: int, objective_mode: str):
+def write_sweep(
+    result: SweepResult, out_path, scenario_id: int, objective_mode: str, nonneg_emissions: bool = False
+):
     """Write the bundle of one price sweep: sweep.csv and summary.json.
 
     A failed point keeps its row in sweep.csv, with `error` in every column
-    but the parameter value; summary.json carries its error message.
+    but the parameter value; summary.json carries its error message, and
+    records the objective mode and whether the emission floor was on.
     """
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,6 +386,7 @@ def write_sweep(result: SweepResult, out_path, scenario_id: int, objective_mode:
         "parameter": result.parameter,
         "scenario": scenario_id,
         "objective_mode": objective_mode,
+        "nonneg_emissions": nonneg_emissions,
         "grid": result.grid,
         "threshold": result.threshold,
         "monotone": result.monotone,

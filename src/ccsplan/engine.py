@@ -168,6 +168,7 @@ def run_scenario(
     stats.update(
         status=sol.status.value,
         iterations=sol.iterations,
+        bland_iterations=sol.bland_iterations,
         max_primal_infeasibility=sol.max_primal_infeasibility,
         factorizations=sol.factorizations,
         phase1_iterations=sol.phase1_iterations,

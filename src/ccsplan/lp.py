@@ -156,6 +156,7 @@ class LpSolution:
     ray_var: int | None = None  # entering variable of the unbounded ray, if any
     factorizations: int = 0  # fresh LU factorisations of the basis, both phases
     phase1_iterations: int = 0  # iterations spent reaching feasibility
+    bland_iterations: int = 0  # iterations whose entering variable Bland's rule chose
     # BASIC/AT_LOWER/AT_UPPER status of the n structural and m slack variables
     # at the final iterate (an artificial left basic counts as its row's
     # slack); None unless OPTIMAL

@@ -1,16 +1,19 @@
 """Two-phase bounded-variable primal simplex.
 
 Dantzig pricing, switching to Bland's rule (the lowest eligible index enters)
-once a phase has run STALL_LIMIT iterations, and geometric-mean row/column
-equilibration before solving. The ratio test takes the smallest ratio; among
-ratios within 1e-12 of the minimum, the lowest variable index leaves.
+after STALL_LIMIT iterations in a row that each lower the objective by no
+more than a relative 1e-10, and geometric-mean row/column equilibration
+before solving. The ratio test takes the smallest ratio; among ratios within
+1e-12 of the minimum, the lowest variable index leaves.
 
 The dense basis matrix is kept column by column. Its LU factorisation is
 computed at the start of each phase and after every REFACTOR_EVERY basis
 changes; in between, each basis change appends a product-form eta to the
-factorisation. OPTIMAL is only declared from a fresh factorisation: when
-pricing finds no candidate while etas are pending, the basis is refactorised
-and priced again. Deterministic: identical inputs give bit-identical output.
+factorisation. The basic values are updated by each step and recomputed
+from every fresh factorisation. OPTIMAL is only declared from a fresh
+factorisation: when pricing finds no candidate while etas are pending, the
+basis is refactorised and priced again. Deterministic: identical inputs give
+bit-identical output.
 
 Every solve starts from a basis through `_start`: the given `start` (the
 `LpSolution.basis` of an earlier solve of a program with the same columns,
@@ -41,7 +44,7 @@ FEAS_TOL = 1e-7  # primal feasibility, on scaled rows
 OPT_TOL = 1e-9  # reduced-cost optimality
 PIVOT_TOL = 1e-10
 MAX_ITERS = 50000  # simplex iterations per solve, both phases together
-STALL_LIMIT = 100  # iterations of a phase before Bland's rule, stalled or not
+STALL_LIMIT = 100  # iterations without a relative 1e-10 improvement before Bland's rule
 
 
 def _geometric_scaling(A: sp.csr_matrix):
@@ -106,6 +109,7 @@ class _Loop:
         self.ub = ub
         self.m = A.shape[0]
         self.iters = 0
+        self.bland_iters = 0  # iterations that entered by Bland's rule
         self.factorizations = 0
         self.ray_var = None
         self.lu = lu  # the caller's LU of the first run's basis matrix, if any
@@ -139,8 +143,13 @@ class _Loop:
             r[p] = (r[p] - (w @ r - w[p] * r[p])) / w[p]
         return _getrs(lu, r, 1)
 
+    def _basic_values(self, lu, etas, basis, x):
+        """Set x_B to B^-1 (b - A_N x_N) from the factorisation."""
+        xx = x.copy()
+        xx[basis] = 0.0
+        x[basis] = self._ftran(lu, etas, self.b - self.A @ xx)
+
     def run(self, c, basis, vstat, x):
-        first = self.iters
         # optimality tolerance relative to the cost magnitude: with costs of
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
         d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -152,12 +161,14 @@ class _Loop:
         else:
             self.factorizations += 1
         etas = []  # (position, FTRAN'd entering column) per basis change since lu
+        obj = float(c @ x)  # running objective, lowered by each step
+        stall = 0  # steps in a row without a relative 1e-10 improvement
         while True:
             if self.iters >= MAX_ITERS:
+                self._basic_values(lu, etas, basis, x)
                 return Status.ITERATION_LIMIT
-            xx = x.copy()
-            xx[basis] = 0.0
-            x[basis] = self._ftran(lu, etas, self.b - self.A @ xx)
+            if not etas:  # a fresh LU: recompute x_B, which steps update in between
+                self._basic_values(lu, etas, basis, x)
             y = self._btran(lu, etas, c[basis])
             d = c - self.AT @ y
             elig = movable & (
@@ -170,8 +181,9 @@ class _Loop:
                 # confirm optimality on a fresh factorisation
                 lu, etas = self._factor(B), []
                 continue
-            if self.iters - first >= max(STALL_LIMIT, 1):  # Bland's rule
+            if stall >= STALL_LIMIT:  # Bland's rule
                 q = int(cand[0])
+                self.bland_iters += 1
             else:
                 q = int(cand[np.argmax(np.abs(d[cand]))])
             sigma = 1.0 if vstat[q] == AT_LOWER else -1.0
@@ -183,17 +195,18 @@ class _Loop:
             )
 
             t_flip = self.ub[q] - self.lb[q]
+            step = min(t_flip, t_basic)
+            if np.isinf(step):
+                self.ray_var = q
+                return Status.UNBOUNDED
+            gain = abs(d[q]) * step
+            obj -= gain
+            stall = 0 if gain > 1e-10 * (1.0 + abs(obj)) else stall + 1
             if t_flip <= t_basic:
-                if np.isinf(t_flip):
-                    self.ray_var = q
-                    return Status.UNBOUNDED
                 x[basis] += dxb * t_flip
                 x[q] = self.ub[q] if vstat[q] == AT_LOWER else self.lb[q]
                 vstat[q] = AT_UPPER if vstat[q] == AT_LOWER else AT_LOWER
             else:
-                if np.isinf(t_basic):
-                    self.ray_var = q
-                    return Status.UNBOUNDED
                 x[basis] += dxb * t_basic
                 x[q] = x[q] + sigma * t_basic
                 v_leave = basis[leave_p]
@@ -267,9 +280,10 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     """Solve a bounded-variable LP; statuses Optimal/Infeasible/Unbounded or
     IterationLimit, after MAX_ITERS iterations of both phases together.
 
-    On IterationLimit `x` is the point where the simplex stopped. A stop in
-    phase 2 leaves a point feasible to tolerance; a stop in phase 1 leaves
-    one that may violate rows, as `max_primal_infeasibility` reports.
+    On IterationLimit `x` is the point where the simplex stopped, its basic
+    values recomputed from the factorisation. A stop in phase 2 leaves a
+    point feasible to tolerance; a stop in phase 1 leaves one that may
+    violate rows, as `max_primal_infeasibility` reports.
 
     `start` is a basis to run from, as in `LpSolution.basis`: one status per
     structural and slack variable. An unusable start (see `_start`) falls
@@ -335,6 +349,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             ray_var=loop.ray_var,
             factorizations=loop.factorizations,
             phase1_iterations=phase1_iterations,
+            bland_iterations=loop.bland_iters,
             basis=final,
             warm_start=warm_start,
         )

@@ -239,6 +239,15 @@ def test_run_all_writes_four_bundles(tmp_path, capsys):
     assert capsys.readouterr().out.count("optimal") == 4
 
 
+def test_solve_and_run_all_bundles_record_the_emission_floor(tmp_path):
+    base = ["--data", DATA, "--objective", "cost"]
+    assert main(["solve", *base, "--scenario", "1", "--out", str(tmp_path / "off")]) == 0
+    assert json.loads((tmp_path / "off" / "summary.json").read_text())["nonneg_emissions"] is False
+    assert main(["run-all", *base, "--ccs-nonneg-emissions", "--out", str(tmp_path / "on")]) == 0
+    for sid in (1, 2, 3, 4):
+        assert json.loads((tmp_path / "on" / f"s{sid}" / "summary.json").read_text())["nonneg_emissions"] is True
+
+
 def test_sweep_usage_errors(capsys, tmp_path):
     base = ["sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price"]
     with pytest.raises(SystemExit) as exc:
@@ -271,6 +280,7 @@ def test_sweep_writes_summary(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["parameter"] == "carbon_price"
     assert summary["monotone"] is True
+    assert summary["nonneg_emissions"] is False
     assert len(summary["points"]) == 2
 
 
@@ -282,7 +292,9 @@ def test_sweep_reaches_the_trading_regime(tmp_path):
         "--out", str(tmp_path),
     ])
     assert code == 0
-    points = json.loads((tmp_path / "summary.json").read_text())["points"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["nonneg_emissions"] is True
+    points = summary["points"]
     assert [p["any_trading"] for p in points] == [True, True, True]
     objectives = [p["objective"] for p in points]
     assert objectives[0] < objectives[1] < objectives[2]

@@ -96,21 +96,39 @@ def test_iteration_limit_in_phase_one_returns_an_infeasible_point(toy_instance, 
 def test_iteration_limit_in_phase_two_returns_a_feasible_point(toy_instance, monkeypatch):
     lp = toy_lp(toy_instance, 3)
     full = solve(lp)
+    pending = []  # etas pending at each FTRAN call
+    ftran = simplex._Loop._ftran
+
+    def spy(lu, etas, r):
+        pending.append(len(etas))
+        return ftran(lu, etas, r)
+
+    monkeypatch.setattr(simplex._Loop, "_ftran", staticmethod(spy))
     monkeypatch.setattr(simplex, "MAX_ITERS", full.phase1_iterations + 20)
     sol = solve(lp)
     assert sol.status == Status.ITERATION_LIMIT
     assert sol.phase1_iterations == full.phase1_iterations < sol.iterations
+    assert pending[-1] > 0  # the stop came between refactorisations
     assert sol.basis is None and sol.max_primal_infeasibility <= 1e-6
 
 
 def test_bland_rule_from_the_start_reaches_the_same_optimum(toy_instance, monkeypatch):
     lp = toy_lp(toy_instance, 3)
     default = solve(lp)
-    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule after the first pivot of each phase
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule on every pivot
     bland = solve(lp)
     assert default.status == bland.status == Status.OPTIMAL
+    assert bland.bland_iterations == bland.iterations
     assert bland.iterations != default.iterations  # another pivot path
     assert bland.objective_value == pytest.approx(default.objective_value, rel=1e-9)
+
+
+def test_cold_cost_s1_needs_few_iterations(toy_instance):
+    # 1,204 iterations when Bland's rule took over after 100 iterations of a
+    # phase, whether or not the objective was still falling
+    sol = solve(toy_lp(toy_instance, 1))
+    assert sol.status == Status.OPTIMAL and not sol.warm_start
+    assert sol.iterations < 600
 
 
 def test_cold_start_is_the_slack_basis(toy_instance):

@@ -92,6 +92,35 @@ def test_degenerate_vertex_terminates():
     assert sol.objective_value == pytest.approx(-2.0)
 
 
+def beale_lp():
+    """Beale's 1955 cycling example: min -1/20 at x = (1/25, 0, 1, 0)."""
+    return lp_of(
+        [-0.75, 150.0, -0.02, 6.0],
+        [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        ["<=", "<=", "<="],
+        [0.0, 0.0, 1.0],
+    )
+
+
+def test_bland_rule_breaks_the_cycle_of_dantzig_pricing(monkeypatch):
+    # unscaled, Dantzig's rule cycles through degenerate pivots until the
+    # stall counter reaches STALL_LIMIT and Bland's rule takes over
+    sol = solve_unscaled(beale_lp(), monkeypatch)
+    assert sol.status == Status.OPTIMAL
+    assert sol.objective_value == pytest.approx(-0.05)
+    assert sol.iterations > simplex.STALL_LIMIT and sol.bland_iterations > 0
+
+
+def test_bland_rule_after_a_few_degenerate_pivots(monkeypatch):
+    default = solve(beale_lp())
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    bland = solve(beale_lp())
+    assert default.status == bland.status == Status.OPTIMAL
+    assert default.bland_iterations == 0 < bland.bland_iterations
+    assert bland.objective_value == pytest.approx(default.objective_value, rel=1e-9)
+    np.testing.assert_allclose(bland.x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+
+
 def test_fixed_variables_respected():
     lp = lp_of([-5.0, 1.0], [[1.0, 1.0]], ["<="], [10.0], lower=[2.0, 0.0], upper=[2.0, np.inf])
     sol = solve(lp)
@@ -286,7 +315,7 @@ def test_randomized_oracle_agreement():
 
 
 def test_bland_rule_matches_the_oracle(monkeypatch):
-    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule after the first pivot of each phase
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)  # Bland's rule on every pivot
     assert_oracle_agreement()
 
 
