@@ -35,7 +35,6 @@ from .domain import (
     RegionTech,
     TechKind,
     ValidationError,
-    distance,
     validate_instance,
 )
 from .engine import (

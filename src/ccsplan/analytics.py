@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TECH_ORDER, TechKind, distance
+from .domain import TECH_ORDER, TechKind
 from .engine import ScenarioResult
 
 
@@ -100,7 +100,6 @@ def cashflow(result: ScenarioResult) -> CashflowSeries:
     """
     inst = result.instance
     plan = result.plan
-    n, T = inst.n, inst.T
     g = inst.globals
     cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
 
@@ -111,26 +110,19 @@ def cashflow(result: ScenarioResult) -> CashflowSeries:
     ets = (cp * inst.tech_array("g") * re).sum(axis=1)
 
     invest_ccs = ccsp * plan.ccs_of_region()
-    transport = np.zeros((n, T))
-    fee_paid = np.zeros((n, T))
-    fee_recv = np.zeros((n, T))
-    for j in inst.buyers:
-        for i in inst.sellers:
-            traded = plan.ccs_traded[j, i, :]
-            if traded.any():
-                transport[j] += gt * distance(j, i, inst) * traded
-                fee_paid[j] += cp * traded
-                fee_recv[i] += cp * traded
+    # ccs_traded[j, i, t] is bought by j from i; each sum adds the regions in turn
+    transport = (gt * inst.distance_km[:, :, None] * plan.ccs_traded).sum(axis=1)
+    fee = cp * plan.ccs_traded
 
     return CashflowSeries(
         start_year=inst.horizon.start_year,
         invest_re=invest_re,
         invest_ccs=invest_ccs,
         transport_cost=transport,
-        storage_fee_paid=fee_paid,
+        storage_fee_paid=fee.sum(axis=1),
         fit_revenue=fit,
         ets_revenue=ets,
-        storage_fee_received=fee_recv,
+        storage_fee_received=fee.sum(axis=0),
     )
 
 

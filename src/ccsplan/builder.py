@@ -25,7 +25,6 @@ from .domain import (
     ModelInstance,
     ValidationError,
     alpha_errors,
-    distance,
 )
 from .lp import LE, LinearProgram, LpSolution, Rows, Status
 
@@ -113,12 +112,10 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
     tail = np.cumsum([sp[k][::-1] for k in TECH_ORDER], axis=1)[:, ::-1]
     h = instance.tech_array("h")[:, :, None]
     c[index.re] = instance.tech_array("rp") - cp * instance.tech_array("g") - h * tail
-    for i in instance.sellers:
-        c[index.ccs_s[i, :]] = ccsp
-    for j in instance.buyers:
-        for i in instance.sellers:
-            d = distance(j, i, instance)
-            c[index.ccs_b[j, i, :]] = ccsp + gt * d + cp
+    c[index.ccs_s[list(instance.sellers)]] = ccsp
+    # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
+    pairs = np.ix_(instance.buyers, instance.sellers)
+    c[index.ccs_b[pairs]] = ccsp + gt * instance.distance_km[pairs][:, :, None] + cp
     return c
 
 

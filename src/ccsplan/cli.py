@@ -161,7 +161,7 @@ def cmd_sweep(parser, args) -> int:
         result = engine.sweep(instance, config, SWEEP_PARAMS[args.param], grid.tolist())
     except ValueError as exc:
         parser.error(str(exc))
-    dataio.write_sweep(result, args.out, args.scenario, config.objective_mode, config.nonneg_emissions)
+    dataio.write_sweep(result, args.out, args.scenario)
     for p in result.points:
         if p.error is not None:
             print(f"point {p.value:g}: {p.error}", file=sys.stderr)

@@ -115,9 +115,13 @@ def _load_series_file(path: Path, horizon: Horizon, errors):
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.DictReader(fh), start=2):
             try:
-                values[int(row["year"])] = float(row["value"])
+                year, value = int(row["year"]), float(row["value"])
             except (KeyError, TypeError, ValueError):
                 errors.append(f"series/{path.name}:{lineno}: malformed row {row!r}")
+                continue
+            if year in values:
+                errors.append(f"series/{path.name}:{lineno}: repeated year {year}")
+            values[year] = value
     errors.extend(f"year {year} missing in series {name}" for year in horizon.years if year not in values)
     return np.array([values.get(year, 0.0) for year in horizon.years])
 
@@ -217,6 +221,9 @@ def load(path) -> ModelInstance:
         if kind is None:
             errors.append(f"tech.csv:{lineno}: unknown tech {row.get('tech')!r}")
             continue
+        if kind in regions[rid].tech:
+            errors.append(f"tech.csv:{lineno}: repeated row for {rid} {kind.value}")
+            continue
         potential, h = (_float(row[c], f"tech.csv:{lineno}: {c}", errors)
                         for c in ("potential_gw", "h_gwh_per_gw"))
         g_name, rp_name = ((row.get(c) or "").strip() for c in ("g_series", "rp_series"))
@@ -237,11 +244,16 @@ def load(path) -> ModelInstance:
         idx = {rid: i for i, rid in enumerate(order)}
         distances = np.full((n, n), np.nan)
         np.fill_diagonal(distances, 0.0)
+        given = set()
         for lineno, row in _read_csv(dpath, ("from_id", "to_id", "km"), errors):
             a, b = (row.get("from_id") or "").strip(), (row.get("to_id") or "").strip()
             if a not in idx or b not in idx:
                 errors.append(f"distances.csv:{lineno}: unknown region in {row!r}")
                 continue
+            if (a, b) in given:
+                errors.append(f"distances.csv:{lineno}: repeated pair {a} -> {b}")
+                continue
+            given.add((a, b))
             distances[idx[a], idx[b]] = _float(row["km"], f"distances.csv:{lineno}: km", errors)
         holes = np.argwhere(np.isnan(distances))
         for a, b in holes:
@@ -362,14 +374,12 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
     return summary
 
 
-def write_sweep(
-    result: SweepResult, out_path, scenario_id: int, objective_mode: str, nonneg_emissions: bool = False
-):
+def write_sweep(result: SweepResult, out_path, scenario_id: int):
     """Write the bundle of one price sweep: sweep.csv and summary.json.
 
     A failed point keeps its row in sweep.csv, with `error` in every column
     but the parameter value; summary.json carries its error message, and
-    records the objective mode and whether the emission floor was on.
+    records the objective mode and emission floor of `result.config`.
     """
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,8 +395,8 @@ def write_sweep(
     summary = {
         "parameter": result.parameter,
         "scenario": scenario_id,
-        "objective_mode": objective_mode,
-        "nonneg_emissions": nonneg_emissions,
+        "objective_mode": result.config.objective_mode,
+        "nonneg_emissions": result.config.nonneg_emissions,
         "grid": result.grid,
         "threshold": result.threshold,
         "monotone": result.monotone,

@@ -97,7 +97,7 @@ class ModelInstance:
     horizon: Horizon
     regions: list
     globals: GlobalParams
-    distances: np.ndarray | None = None  # explicit d[j][i] in km, wins over locations
+    distances: np.ndarray | None = None  # given d[j][i] in km; see `distance_km`
 
     @property
     def n(self) -> int:
@@ -122,6 +122,17 @@ class ModelInstance:
         return {r.id: i for i, r in enumerate(self.regions)}
 
     @cached_property
+    def distance_km(self) -> np.ndarray:
+        """(n, n) kilometres from region j to region i: `distances` when it is
+        given, otherwise the great-circle distance between the two locations."""
+        if self.distances is not None:
+            return np.asarray(self.distances, dtype=float)
+        missing = [r.id for r in self.regions if r.location is None]
+        if missing:
+            raise ValueError(f"no distance available: no matrix is given and regions {missing} have no location")
+        return np.array([[great_circle_km(a.location, b.location) for b in self.regions] for a in self.regions])
+
+    @cached_property
     def baseline_total(self) -> float:
         return float(sum(r.baseline_emissions for r in self.regions))
 
@@ -139,25 +150,6 @@ def great_circle_km(a: tuple, b: tuple) -> float:
     dlon = lon2 - lon1
     s = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
-
-
-def distance(j: int, i: int, instance: ModelInstance) -> float:
-    """Kilometres from region j to region i.
-
-    An explicit distance matrix takes precedence; otherwise the great-circle
-    distance is derived from region locations.
-    """
-    if instance.distances is not None:
-        return float(instance.distances[j, i])
-    if j == i:
-        return 0.0
-    rj, ri = instance.regions[j], instance.regions[i]
-    if rj.location is None or ri.location is None:
-        raise ValueError(
-            f"no distance available between {rj.id!r} and {ri.id!r}: "
-            "neither an explicit matrix nor both locations are present"
-        )
-    return great_circle_km(rj.location, ri.location)
 
 
 def _as_series(values, T, path, errors):

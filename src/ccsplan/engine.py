@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .builder import (
+    CCS_CLAMP,
     COST_ONLY,
     MAX_REDUCTION_LEX,
     DeploymentPlan,
@@ -75,6 +76,7 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
+    config: ScenarioConfig  # the scenario run at every point
     parameter: str
     grid: list
     points: list
@@ -83,13 +85,15 @@ class SweepResult:
 
 
 def compute_emissions(instance: ModelInstance, plan: DeploymentPlan) -> np.ndarray:
-    """Per-region emission paths via the telescoped recursion (no re-solve)."""
+    """Per-region emission paths via the telescoped recursion (no re-solve);
+    values within `CCS_CLAMP` of zero are roundoff and snap to exactly 0."""
     offs = plan.ccs_of_region()
     g = instance.tech_array("g")
     for k in range(NUM_TECH):  # each technology added in turn onto the CCS offsets
         offs += g[:, k] * plan.re_installed[:, k]
     baselines = np.array([r.baseline_emissions for r in instance.regions])
-    return baselines[:, None] - np.cumsum(offs, axis=1)
+    emissions = baselines[:, None] - np.cumsum(offs, axis=1)
+    return np.where(np.abs(emissions) < CCS_CLAMP, 0.0, emissions)
 
 
 def _raise_for_status(lp: LinearProgram, sol) -> None:
@@ -257,4 +261,4 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
             if threshold is None and p.reduction_pct - prev > JUMP_PP:
                 threshold = p.value
         prev = p.reduction_pct
-    return SweepResult(parameter=parameter, grid=grid, points=points, threshold=threshold, monotone=monotone)
+    return SweepResult(config, parameter, grid, points, threshold, monotone)

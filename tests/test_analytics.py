@@ -9,8 +9,9 @@ from ccsplan.analytics import (
     reduction_percentage,
     trade_matrix,
 )
-from ccsplan.builder import COST_ONLY, scenario_config
-from ccsplan.engine import run_scenario
+from ccsplan.builder import COST_ONLY, DeploymentPlan, VariableIndex, build_objective, scenario_config
+from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region, TechKind, zero_tech
+from ccsplan.engine import ScenarioResult, run_scenario
 
 from conftest import make_trade_instance, make_unit_instance
 
@@ -100,6 +101,46 @@ def test_transfer_ledger_balances():
     with_transfers = cash.national_net_with_transfers().sum()
     assert with_transfers == pytest.approx(cash.national_net().sum() + 35.0)
     assert cash.national_net().sum() == pytest.approx(-res.objective_value, rel=1e-12)
+
+
+def test_trades_run_from_buyer_to_seller():
+    # buyers b1, b2 and sellers s1, s2 interleaved, two years, and a given
+    # matrix with d(j, i) != d(i, j): the traded-CCS objective coefficients
+    # and the cashflows must read d from buyer j to seller i
+    T = 2
+    ids, storage = ("b1", "s1", "b2", "s2"), (0.0, 50.0, 0.0, 80.0)
+    regions = [
+        Region(id=rid, baseline_emissions=100.0, ccs_capacity=cap, location=None,
+               tech={TechKind.SOLAR: zero_tech(T), TechKind.WIND: zero_tech(T)})
+        for rid, cap in zip(ids, storage)
+    ]
+    g = GlobalParams(cp=np.array([3.0, 5.0]), ccsp=np.array([2.0, 7.0]), gt=np.array([0.1, 0.3]),
+                     cap=np.full(T, np.inf), sp={TechKind.SOLAR: np.zeros(T), TechKind.WIND: np.zeros(T)})
+    km = np.array([[0.0, 10.0, 20.0, 30.0], [40.0, 0.0, 50.0, 60.0],
+                   [70.0, 80.0, 0.0, 90.0], [110.0, 130.0, 170.0, 0.0]])
+    inst = ModelInstance(horizon=Horizon(2018, T), regions=regions, globals=g, distances=km)
+    assert inst.buyers == (0, 2) and inst.sellers == (1, 3)
+
+    index = VariableIndex(inst)
+    c = build_objective(inst, index)
+    traded = np.zeros((4, 4, T))
+    for n, (j, i) in enumerate([(0, 1), (0, 3), (2, 1), (2, 3)]):
+        np.testing.assert_array_equal(c[index.ccs_b[j, i]], g.ccsp + g.gt * km[j, i] + g.cp)
+        traded[j, i] = [1.0 + n, 0.5 * n]
+
+    plan = DeploymentPlan(re_installed=np.zeros((4, 2, T)), ccs_local=np.zeros((4, T)), ccs_traded=traded)
+    result = ScenarioResult(config=scenario_config(1), instance=inst, plan=plan, emissions=np.zeros((4, T)),
+                            objective_value=0.0, reduction_pct=0.0, solve_stats={})
+    cash = cashflow(result)
+    transport, paid, received = np.zeros((4, T)), np.zeros((4, T)), np.zeros((4, T))
+    for j in inst.buyers:
+        for i in inst.sellers:
+            transport[j] += g.gt * km[j, i] * traded[j, i]
+            paid[j] += g.cp * traded[j, i]
+            received[i] += g.cp * traded[j, i]
+    np.testing.assert_array_equal(cash.transport_cost, transport)
+    np.testing.assert_array_equal(cash.storage_fee_paid, paid)
+    np.testing.assert_array_equal(cash.storage_fee_received, received)
 
 
 def test_trade_matrix_flags():

@@ -71,10 +71,14 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def _set_first_row(path, column, value):
+def _set_first_row(path, column, value, repeat=False):
+    """Set `column` of the first data row of the CSV at `path` to `value`;
+    with `repeat`, in a copy of that row inserted after it (line 3)."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    rows[0][column] = value
+    if repeat:
+        rows.insert(1, dict(rows[0]))
+    rows[1 if repeat else 0][column] = value
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -121,18 +125,23 @@ def _edit_globals(path, value):
     return edit
 
 
-def _edit_csv(name, column, value):
+def _edit_csv(name, column, value, repeat=False):
     """An edit of a dataset directory that sets `column` of the first data
-    row of `name` to `value`."""
-    return lambda data: _set_first_row(data / name, column, value)
+    row of `name` to `value` (see `_set_first_row`)."""
+    return lambda data: _set_first_row(data / name, column, value, repeat)
 
 
-def _distances_with_bad_km(data):
-    with open(data / "regions.csv", newline="") as fh:
-        ids = [row["id"] for row in csv.DictReader(fh)]
-    lines = ["from_id,to_id,km", *(f"{a},{b},100" for a in ids for b in ids if a != b)]
-    (data / "distances.csv").write_text("\n".join(lines) + "\n")
-    _set_first_row(data / "distances.csv", "km", "far")
+def _with_distances(edit):
+    """`edit` applied after writing a distances.csv of 100 km for every pair."""
+
+    def both(data):
+        with open(data / "regions.csv", newline="") as fh:
+            ids = [row["id"] for row in csv.DictReader(fh)]
+        lines = ["from_id,to_id,km", *(f"{a},{b},100" for a in ids for b in ids if a != b)]
+        (data / "distances.csv").write_text("\n".join(lines) + "\n")
+        edit(data)
+
+    return both
 
 
 def _short_tech_row(data):
@@ -165,7 +174,14 @@ def _no_regions(data):
         pytest.param(_short_tech_row, "tech.csv:2", DataError, id="short-tech-row"),
         pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1e7t"), "regions.csv:2: C0_tonnes", DataError, id="c0-text"),
         pytest.param(_edit_csv("tech.csv", "potential_gw", "four"), "tech.csv:2: potential_gw", DataError, id="potential-text"),
-        pytest.param(_distances_with_bad_km, "distances.csv:2: km", DataError, id="km-text"),
+        pytest.param(_with_distances(_edit_csv("distances.csv", "km", "far")), "distances.csv:2: km", DataError,
+                     id="km-text"),
+        pytest.param(_edit_csv("tech.csv", "potential_gw", "999", repeat=True),
+                     "tech.csv:3: repeated row for aster solar", DataError, id="tech-row-repeated"),
+        pytest.param(_with_distances(_edit_csv("distances.csv", "km", "50", repeat=True)),
+                     "distances.csv:3: repeated pair aster -> birch", DataError, id="distance-pair-repeated"),
+        pytest.param(_edit_csv("series/g_solar_aster.csv", "value", "1", repeat=True),
+                     "series/g_solar_aster.csv:3: repeated year 2018", DataError, id="series-year-repeated"),
         pytest.param(_no_regions, "regions: no region given", ValidationError, id="no-regions"),
     ],
 )

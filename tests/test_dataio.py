@@ -189,10 +189,11 @@ def test_write_sweep_rows_and_byte_stability(tmp_path):
     )
     bad = SweepPoint(value=2.0, error="infeasible; violated rows: cap[2018]")
     result = SweepResult(
-        parameter="carbon_price", grid=[1.5, 2.0], points=[good, bad], threshold=None, monotone=True
+        config=scenario_config(1, objective_mode=COST_ONLY), parameter="carbon_price", grid=[1.5, 2.0],
+        points=[good, bad], threshold=None, monotone=True,
     )
-    write_sweep(result, tmp_path / "one", 1, COST_ONLY)
-    write_sweep(result, tmp_path / "two", 1, COST_ONLY)
+    write_sweep(result, tmp_path / "one", 1)
+    write_sweep(result, tmp_path / "two", 1)
     assert (tmp_path / "one" / "sweep.csv").read_text().splitlines() == [
         "param_value,reduction_pct,objective,any_trading",
         "1.5,60,-6,false",

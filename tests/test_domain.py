@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from ccsplan.domain import (
     DEFAULT_ALPHA,
     TechKind,
     ValidationError,
-    distance,
     great_circle_km,
     validate_instance,
     zero_tech,
@@ -23,34 +24,34 @@ def test_great_circle_zero_for_same_point():
     assert great_circle_km((35.0, 139.0), (35.0, 139.0)) == 0.0
 
 
-def test_distance_prefers_explicit_matrix():
+def _with_second_region(location):
+    """The unit instance plus a storage region "S" at `location`."""
     inst = make_unit_instance()
-    inst.regions.append(
-        type(inst.regions[0])(
-            id="S",
-            baseline_emissions=0.0,
-            tech=dict(inst.regions[0].tech),
-            ccs_capacity=1.0,
-            location=(10.0, 10.0),
-        )
-    )
-    inst.distances = np.array([[0.0, 42.0], [42.0, 0.0]])
-    assert distance(0, 1, inst) == 42.0
-    inst.distances = None
-    assert distance(0, 1, inst) == pytest.approx(great_circle_km((0, 0), (10, 10)))
-
-
-def test_distance_requires_matrix_or_locations():
-    inst = make_unit_instance()
-    inst.regions[0].location = None
     inst.regions.append(
         type(inst.regions[0])(
             id="S", baseline_emissions=0.0, tech=dict(inst.regions[0].tech),
-            ccs_capacity=1.0, location=None,
+            ccs_capacity=1.0, location=location,
         )
     )
-    with pytest.raises(ValueError, match="no distance available"):
-        distance(0, 1, inst)
+    return inst
+
+
+def test_distance_prefers_explicit_matrix():
+    inst = _with_second_region((10.0, 10.0))
+    inst.distances = np.array([[0.0, 42.0], [7.0, 0.0]])
+    np.testing.assert_array_equal(inst.distance_km, [[0.0, 42.0], [7.0, 0.0]])
+    # without a matrix, the great-circle distance between the two locations
+    d = great_circle_km((0.0, 0.0), (10.0, 10.0))
+    np.testing.assert_array_equal(_with_second_region((10.0, 10.0)).distance_km, [[0.0, d], [d, 0.0]])
+
+
+def test_distance_requires_matrix_or_locations():
+    inst = _with_second_region(None)
+    with pytest.raises(ValueError, match=re.escape("regions ['S'] have no location")):
+        inst.distance_km
+    inst = _with_second_region(None)
+    inst.distances = np.array([[0.0, 42.0], [42.0, 0.0]])
+    assert inst.distance_km[0, 1] == 42.0
 
 
 def test_validate_accepts_unit_instance():

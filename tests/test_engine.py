@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from ccsplan import engine, simplex
-from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
+from ccsplan.builder import CCS_CLAMP, COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
 from ccsplan.domain import TechKind
 from ccsplan.engine import (
     LEX_EPS,
     InfeasibleModelError,
     ScenarioError,
+    ScenarioResult,
     compute_emissions,
     run_all,
     run_scenario,
@@ -68,6 +69,15 @@ def test_forced_trading_under_emission_floor():
     np.testing.assert_allclose(res.emissions[:, 0], [0.0, 60.0], atol=1e-9)
     # cost: 5*1 + 35*(1 + 0.01*100 + 1)
     assert res.objective_value == pytest.approx(110.0)
+
+
+def test_emission_floor_leaves_no_negative_roundoff(toy_instance):
+    # the floor rows hold only to the solver's tolerance; what is left within
+    # CCS_CLAMP of zero is snapped to exactly 0 rather than written as noise
+    for sid, res in run_all(toy_instance, objective_mode=MAX_REDUCTION_LEX, nonneg_emissions=True).items():
+        assert isinstance(res, ScenarioResult), sid
+        assert not (res.emissions < 0).any(), sid
+        assert not ((res.emissions > 0) & (res.emissions < CCS_CLAMP)).any(), sid
 
 
 def test_run_all_isolates_failures():
