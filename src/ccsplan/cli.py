@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(parser, args):
     try:
         return dataio.load_validated(args.data)
-    except (dataio.DataError, ValidationError) as exc:
+    except ValidationError as exc:  # dataio.DataError too
         for e in exc.errors:
             print(f"error: {e}", file=sys.stderr)
         raise SystemExit(1)
@@ -177,9 +177,14 @@ def cmd_report(parser, args) -> int:
     if not os.path.exists(path):
         print(f"error: no summary.json under {args.results}", file=sys.stderr)
         return 1
-    with open(path) as fh:
-        s = json.load(fh)
-    print(_summary_line(s))
+    try:
+        with open(path) as fh:
+            s = json.load(fh)
+        head = _summary_line(s)
+    except (KeyError, TypeError, ValueError) as exc:  # malformed JSON, or the summary of a sweep bundle
+        print(f"error: {path}: not the summary of a solved scenario ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 1
+    print(head)
     shares = s.get("shares_pct")
     if shares:
         print(

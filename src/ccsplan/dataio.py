@@ -2,8 +2,10 @@
 
 A dataset directory contains globals.json, regions.csv, tech.csv, series/*.csv
 (year,value pairs for the rp and g schedules), and an optional distances.csv.
-Declared units are converted to canonical tonnes/GW/GWh/yen/km on load;
-semantic checks are deferred to domain.validate_instance.
+Every CSV file is read by `_read_table`, under the rules of the README's
+"Dataset format". Declared units are converted to canonical tonnes/GW/GWh/yen/km
+on load; semantic checks, NaN and inf included, are deferred to
+domain.validate_instance.
 
 Result bundles are bit-stable: fixed field order, 1e-9-rounded decimal
 formatting, LF line endings.
@@ -11,6 +13,7 @@ formatting, LF line endings.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from .domain import (
     ModelInstance,
     Region,
     RegionTech,
+    ValidationError,
     validate_instance,
 )
 from .engine import ScenarioResult, SweepResult
@@ -33,10 +37,9 @@ MASS_FACTORS = {"t": 1.0, "kt": 1e3, "Mt": 1e6}
 MAX_YEARS = 1000  # every series is an array of num_years values
 
 
-class DataError(ValueError):
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+class DataError(ValidationError):
+    """A dataset directory that breaks the file format: its `errors` name the
+    file and, for a CSV row, the line."""
 
 
 def _fmt(x) -> str:
@@ -93,37 +96,39 @@ def _parse_series(value, T, name, errors):
     return np.zeros(T)
 
 
-def _read_csv(path: Path, required_cols, errors):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in required_cols if c not in (reader.fieldnames or [])]
+def _read_table(root: Path, name, key, label, numbers, text, errors):
+    """The rows of the CSV file `root / name` by the tuple of their stripped
+    `key` cells, in file order: {key: (line, row, floats)}, with `row` the
+    dict of the row's cells by column ("" past the end of a short row) and
+    `floats` its `numbers` cells (one or more) through `_float`, NaN and inf
+    included. Returns None after one error if a `key`, `numbers` or `text`
+    column is missing. Records an error for each empty key cell, number cell
+    that does not parse and repeated key, named by `label.format(*key)`."""
+    with open(root / name, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in (*key, *numbers, *text) if c not in header]
         if missing:
-            errors.append(f"{path.name}: missing columns {missing}")
-            return rows
-        for lineno, row in enumerate(reader, start=2):
-            rows.append((lineno, row))
-    return rows
-
-
-def _load_series_file(path: Path, horizon: Horizon, errors):
-    name = path.stem
-    values = {}
-    if not path.exists():
-        errors.append(f"series/{path.name}: missing file")
-        return np.zeros(horizon.num_years)
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                year, value = int(row["year"]), float(row["value"])
-            except (KeyError, TypeError, ValueError):
-                errors.append(f"series/{path.name}:{lineno}: malformed row {row!r}")
-                continue
-            if year in values:
-                errors.append(f"series/{path.name}:{lineno}: repeated year {year}")
-            values[year] = value
-    errors.extend(f"year {year} missing in series {name}" for year in horizon.years if year not in values)
-    return np.array([values.get(year, 0.0) for year in horizon.years])
+            errors.append(f"{name}: missing columns {missing}")
+            return None
+        pad = [""] * len(header)
+        rows = [(reader.line_num, r if len(r) >= len(pad) else r + pad[len(r):]) for r in reader if r]
+    # column by column: one comprehension per column costs less than one per row
+    keys = zip(*[[r[j].strip() for _, r in rows] for j in map(header.index, key)])
+    try:
+        floats = zip(*[[float(r[j]) for _, r in rows] for j in map(header.index, numbers)])
+    except ValueError:  # name each bad cell
+        floats = zip(*[[_float(r[j], f"{name}:{line}: {c}", errors) for line, r in rows]
+                       for c, j in zip(numbers, map(header.index, numbers))])
+    table = {}
+    for (line, cells), k, f in zip(rows, keys, floats):
+        if not all(k):
+            errors.extend(f"{name}:{line}: empty {c}" for c, v in zip(key, k) if not v)
+        elif k in table:
+            errors.append(f"{name}:{line}: repeated {label.format(*k)}")
+        else:
+            table[k] = (line, dict(zip(header, cells)), f)
+    return table
 
 
 def load(path) -> ModelInstance:
@@ -181,83 +186,64 @@ def load(path) -> ModelInstance:
             k: _float(alpha_conf.get(k.value, 0.0), f"globals.json: alpha.{k.value}", errors) for k in TECH_ORDER
         }
 
-    region_rows = _read_csv(root / "regions.csv", ("id", "C0_tonnes", "ccs_capacity_tonnes"), errors)
     regions = {}
-    order = []
-    for lineno, row in region_rows:
-        rid = (row.get("id") or "").strip()
-        if not rid:
-            errors.append(f"regions.csv:{lineno}: empty region id")
-            continue
-        c0, ccs_cap = (_float(row[c], f"regions.csv:{lineno}: {c}", errors) * mass
-                       for c in ("C0_tonnes", "ccs_capacity_tonnes"))
-        loc = None
-        if (row.get("lat") or "").strip() and (row.get("lon") or "").strip():
-            loc = tuple(_float(row[c], f"regions.csv:{lineno}: {c}", errors) for c in ("lat", "lon"))
-        regions[rid] = Region(
-            id=rid, baseline_emissions=c0, tech={}, ccs_capacity=ccs_cap, location=loc
-        )
-        order.append(rid)
-
-    tech_rows = _read_csv(
-        root / "tech.csv",
-        ("region_id", "tech", "potential_gw", "h_gwh_per_gw", "rp_series", "g_series"),
-        errors,
+    region_rows = _read_table(
+        root, "regions.csv", ("id",), "region id {}", ("C0_tonnes", "ccs_capacity_tonnes"), (), errors
     )
-    kind_of = {k.value: k for k in TECH_ORDER}
-    series_cache = {}
-
-    def series(name):
-        if name not in series_cache:
-            series_cache[name] = _load_series_file(root / "series" / f"{name}.csv", horizon, errors)
-        return series_cache[name]
-
-    for lineno, row in tech_rows:
-        rid = (row.get("region_id") or "").strip()
-        if rid not in regions:
-            errors.append(f"tech.csv:{lineno}: unknown region_id {rid!r}")
-            continue
-        kind = kind_of.get((row.get("tech") or "").strip())
-        if kind is None:
-            errors.append(f"tech.csv:{lineno}: unknown tech {row.get('tech')!r}")
-            continue
-        if kind in regions[rid].tech:
-            errors.append(f"tech.csv:{lineno}: repeated row for {rid} {kind.value}")
-            continue
-        potential, h = (_float(row[c], f"tech.csv:{lineno}: {c}", errors)
-                        for c in ("potential_gw", "h_gwh_per_gw"))
-        g_name, rp_name = ((row.get(c) or "").strip() for c in ("g_series", "rp_series"))
-        if not (g_name and rp_name):
-            errors.append(f"tech.csv:{lineno}: empty g_series or rp_series in {row!r}")
-            continue
-        regions[rid].tech[kind] = RegionTech(
-            g=series(g_name) * mass,
-            rp=series(rp_name),
-            h=h,
-            potential=potential,
+    for (rid,), (line, row, (c0, ccs_cap)) in (region_rows or {}).items():
+        loc = None
+        if row.get("lat", "").strip() and row.get("lon", "").strip():
+            loc = tuple(_float(row[c], f"regions.csv:{line}: {c}", errors) for c in ("lat", "lon"))
+        regions[rid] = Region(
+            id=rid, baseline_emissions=c0 * mass, tech={}, ccs_capacity=ccs_cap * mass, location=loc
         )
+
+    kind_of = {k.value: k for k in TECH_ORDER}
+
+    @functools.cache
+    def series(name):
+        """The `value` of series/<name>.csv in each year of the horizon."""
+        path = f"series/{name}.csv"
+        if not (root / path).exists():
+            errors.append(f"{path}: missing file")
+        elif (table := _read_table(root, path, ("year",), "year {}", ("value",), (), errors)) is not None:
+            rows = [table.get((str(year),)) for year in horizon.years]
+            errors.extend(f"year {y} missing in series {name}" for y, row in zip(horizon.years, rows) if row is None)
+            return np.array([row[2][0] if row else 0.0 for row in rows])
+        return np.zeros(T)
+
+    tech_rows = _read_table(
+        root, "tech.csv", ("region_id", "tech"), "row for {} {}", ("potential_gw", "h_gwh_per_gw"),
+        ("rp_series", "g_series"), errors,
+    )
+    for (rid, tech), (line, row, (potential, h)) in (tech_rows or {}).items():
+        if rid not in regions:
+            errors.append(f"tech.csv:{line}: unknown region_id {rid!r}")
+            continue
+        kind = kind_of.get(tech)
+        if kind is None:
+            errors.append(f"tech.csv:{line}: unknown tech {tech!r}")
+            continue
+        g_name, rp_name = (row[c].strip() for c in ("g_series", "rp_series"))
+        if not (g_name and rp_name):
+            errors.append(f"tech.csv:{line}: empty g_series or rp_series in {row!r}")
+            continue
+        regions[rid].tech[kind] = RegionTech(g=series(g_name) * mass, rp=series(rp_name), h=h, potential=potential)
 
     distances = None
-    dpath = root / "distances.csv"
-    if dpath.exists():
-        n = len(order)
-        idx = {rid: i for i, rid in enumerate(order)}
-        distances = np.full((n, n), np.nan)
-        np.fill_diagonal(distances, 0.0)
-        given = set()
-        for lineno, row in _read_csv(dpath, ("from_id", "to_id", "km"), errors):
-            a, b = (row.get("from_id") or "").strip(), (row.get("to_id") or "").strip()
+    if (root / "distances.csv").exists():
+        idx = {rid: i for i, rid in enumerate(regions)}
+        distances = np.zeros((len(idx), len(idx)))
+        pairs = _read_table(root, "distances.csv", ("from_id", "to_id"), "pair {} -> {}", ("km",), (), errors)
+        for (a, b), (line, row, (km,)) in (pairs or {}).items():
             if a not in idx or b not in idx:
-                errors.append(f"distances.csv:{lineno}: unknown region in {row!r}")
+                errors.append(f"distances.csv:{line}: unknown region in {row!r}")
                 continue
-            if (a, b) in given:
-                errors.append(f"distances.csv:{lineno}: repeated pair {a} -> {b}")
-                continue
-            given.add((a, b))
-            distances[idx[a], idx[b]] = _float(row["km"], f"distances.csv:{lineno}: km", errors)
-        holes = np.argwhere(np.isnan(distances))
-        for a, b in holes:
-            errors.append(f"distances.csv: missing pair {order[a]} -> {order[b]}")
+            distances[idx[a], idx[b]] = km
+        if pairs is not None:
+            errors.extend(
+                f"distances.csv: missing pair {a} -> {b}" for a in idx for b in idx if a != b and (a, b) not in pairs
+            )
 
     if errors:
         raise DataError(errors)
@@ -267,7 +253,7 @@ def load(path) -> ModelInstance:
         gp.alpha = alpha
     return ModelInstance(
         horizon=horizon,
-        regions=[regions[rid] for rid in order],
+        regions=list(regions.values()),
         globals=gp,
         distances=distances,
     )

@@ -254,6 +254,9 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
             )
         )
 
+    if regions and sum(r.baseline_emissions for r in regions) == 0:
+        errors.append("regions: total baseline emissions is 0, so no reduction can be measured against it")
+
     dist = None
     if raw.distances is not None:
         dist = np.asarray(raw.distances, dtype=float)
@@ -261,8 +264,9 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
         if dist.shape != (nn, nn):
             errors.append(f"distances: shape {dist.shape} ≠ ({nn}, {nn})")
         else:
-            if np.any(dist < 0) or not np.all(np.isfinite(dist)):
-                errors.append("distances: entries must be finite and >= 0")
+            for j, i in np.argwhere(~(np.isfinite(dist) & (dist >= 0)))[:1]:  # the first, by region ids
+                errors.append(f"distances[{raw.regions[j].id}][{raw.regions[i].id}]: {dist[j, i]:g} km; "
+                              "entries must be finite and >= 0")
             if np.any(np.diag(dist) != 0):
                 errors.append("distances: diagonal must be 0")
     else:

@@ -144,6 +144,25 @@ def _with_distances(edit):
     return both
 
 
+def _rename_column(name, old, new):
+    """An edit of a dataset directory that renames column `old` of `name`."""
+
+    def edit(data):
+        header, *rest = (data / name).read_text().split("\n", 1)
+        (data / name).write_text("\n".join([",".join(new if c == old else c for c in header.split(",")), *rest]))
+
+    return edit
+
+
+def _zero_baselines(data):
+    with open(data / "regions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(data / "regions.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "C0_tonnes": "0"} for row in rows)
+
+
 def _short_tech_row(data):
     lines = (data / "tech.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0]  # drop the g_series field
@@ -182,7 +201,14 @@ def _no_regions(data):
                      "distances.csv:3: repeated pair aster -> birch", DataError, id="distance-pair-repeated"),
         pytest.param(_edit_csv("series/g_solar_aster.csv", "value", "1", repeat=True),
                      "series/g_solar_aster.csv:3: repeated year 2018", DataError, id="series-year-repeated"),
+        pytest.param(_with_distances(_edit_csv("distances.csv", "km", "nan")), "distances[aster][birch]: nan km",
+                     ValidationError, id="km-nan"),
+        pytest.param(_rename_column("series/g_solar_aster.csv", "year", "yr"),
+                     "series/g_solar_aster.csv: missing columns ['year']", DataError, id="series-year-column-renamed"),
+        pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1", repeat=True),
+                     "regions.csv:3: repeated region id aster", DataError, id="region-id-repeated"),
         pytest.param(_no_regions, "regions: no region given", ValidationError, id="no-regions"),
+        pytest.param(_zero_baselines, "regions: total baseline emissions is 0", ValidationError, id="zero-baselines"),
     ],
 )
 def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field, error):
@@ -329,3 +355,19 @@ def test_report_roundtrip(tmp_path, capsys):
 def test_report_missing_summary(tmp_path, capsys):
     assert main(["report", "--results", str(tmp_path)]) == 1
     assert "no summary.json" in capsys.readouterr().err
+
+
+def test_report_rejects_a_sweep_bundle_and_bad_json(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    main(["sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price",
+          "--from", "10000", "--to", "10000", "--steps", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["report", "--results", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out / 'summary.json'}: not the summary of a solved scenario (KeyError: 'payback_year')\n"
+    )
+    (out / "summary.json").write_text("{")
+    assert main(["report", "--results", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {out / 'summary.json'}: not the summary of a solved scenario (JSONDecodeError: "
+    )

@@ -112,6 +112,15 @@ def test_missing_series_year_message(tmp_path):
         load(tmp_path)
 
 
+def test_renamed_series_column_is_one_error(tmp_path):
+    write_mini_dataset(tmp_path)
+    path = tmp_path / "series" / "rp_solar_north.csv"
+    path.write_text(path.read_text().replace("year,", "yr,"))
+    with pytest.raises(DataError) as exc:
+        load(tmp_path)
+    assert exc.value.errors == ["series/rp_solar_north.csv: missing columns ['year']"]
+
+
 def test_unknown_mass_unit(tmp_path):
     write_mini_dataset(tmp_path)
     conf = json.loads((tmp_path / "globals.json").read_text())
