@@ -102,17 +102,22 @@ def _read_table(root: Path, name, key, label, numbers, text, errors):
     dict of the row's cells by column ("" past the end of a short row) and
     `floats` its `numbers` cells (one or more) through `_float`, NaN and inf
     included. Returns None after one error if a `key`, `numbers` or `text`
-    column is missing. Records an error for each empty key cell, number cell
-    that does not parse and repeated key, named by `label.format(*key)`."""
-    with open(root / name, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in (*key, *numbers, *text) if c not in header]
-        if missing:
-            errors.append(f"{name}: missing columns {missing}")
-            return None
-        pad = [""] * len(header)
-        rows = [(reader.line_num, r if len(r) >= len(pad) else r + pad[len(r):]) for r in reader if r]
+    column is missing or the file is not UTF-8 CSV text. Records an error for
+    each empty key cell, number cell that does not parse and repeated key,
+    named by `label.format(*key)`."""
+    try:
+        with open(root / name, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in (*key, *numbers, *text) if c not in header]
+            if missing:
+                errors.append(f"{name}: missing columns {missing}")
+                return None
+            pad = [""] * len(header)
+            rows = [(reader.line_num, r if len(r) >= len(pad) else r + pad[len(r):]) for r in reader if r]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        errors.append(f"{name}: not readable as UTF-8 CSV: {exc}")
+        return None
     # column by column: one comprehension per column costs less than one per row
     keys = zip(*[[r[j].strip() for _, r in rows] for j in map(header.index, key)])
     try:
@@ -140,8 +145,10 @@ def load(path) -> ModelInstance:
         raise DataError([f"{root}: missing required file {f}" for f in missing])
 
     try:
-        with open(root / "globals.json") as fh:
+        with open(root / "globals.json", encoding="utf-8") as fh:
             gconf = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError([f"globals.json: not UTF-8 text: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise DataError([f"globals.json: malformed JSON: {exc}"]) from exc
     if not isinstance(gconf, dict):
@@ -218,7 +225,8 @@ def load(path) -> ModelInstance:
     )
     for (rid, tech), (line, row, (potential, h)) in (tech_rows or {}).items():
         if rid not in regions:
-            errors.append(f"tech.csv:{line}: unknown region_id {rid!r}")
+            if region_rows is not None:  # else regions.csv's one error stands for the rows
+                errors.append(f"tech.csv:{line}: unknown region_id {rid!r}")
             continue
         kind = kind_of.get(tech)
         if kind is None:

@@ -151,7 +151,7 @@ def run_scenario(
         # the stage-1 optimum meets the lex row with slack max - floor >= 0
         sol = solve(lp2, np.append(sol1.basis, BASIC))
         _raise_for_status(lp2, sol)
-        achieved = float(off @ sol.x)
+        achieved = float((off * sol.x).sum())
         if achieved < floor - 1e-6 * (1.0 + abs(floor)):
             raise ScenarioError(
                 f"lexicographic stage 2 lost reduction: {achieved} < floor {floor}"

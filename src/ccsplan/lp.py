@@ -195,7 +195,7 @@ def check_solution(lp: LinearProgram, x: np.ndarray) -> FeasibilityReport:
     rv = np.where(rows.sense == LE, excess, np.where(rows.sense == GE, -excess, np.abs(excess)))
     upper_gap = np.where(np.isinf(lp.upper), -np.inf, x - lp.upper)
     bv = np.maximum(lp.lower - x, upper_gap)
-    return FeasibilityReport(row_violation=rv, bound_violation=bv, objective=float(lp.objective @ x))
+    return FeasibilityReport(row_violation=rv, bound_violation=bv, objective=float((lp.objective * x).sum()))
 
 
 def violated_rows(lp: LinearProgram, x: np.ndarray, tol: float) -> list:

@@ -1,19 +1,26 @@
 """Two-phase bounded-variable primal simplex.
 
-Dantzig pricing, switching to Bland's rule (the lowest eligible index enters)
-after STALL_LIMIT iterations in a row that each lower the objective by no
-more than a relative 1e-10, and geometric-mean row/column equilibration
-before solving. The ratio test takes the smallest ratio; among ratios within
-1e-12 of the minimum, the lowest variable index leaves.
+Devex pricing (Forrest & Goldfarb 1992): the entering variable maximises
+d_j^2 / w_j over the eligible reduced costs d_j, with reference weights w
+that start at 1 in each phase. Bland's rule (the lowest eligible index
+enters) takes over after STALL_LIMIT iterations in a row that each lower the
+objective by no more than a relative 1e-10. Rows and columns are
+equilibrated by geometric means before solving. The ratio test takes the
+smallest ratio; among ratios within 1e-12 of the minimum, the lowest
+variable index leaves.
 
-The dense basis matrix is kept column by column. Its LU factorisation is
-computed at the start of each phase and after every REFACTOR_EVERY basis
-changes; in between, each basis change appends a product-form eta to the
-factorisation. The basic values are updated by each step and recomputed
-from every fresh factorisation. OPTIMAL is only declared from a fresh
-factorisation: when pricing finds no candidate while etas are pending, the
-basis is refactorised and priced again. Deterministic: identical inputs give
-bit-identical output.
+The sparse basis matrix is factorised by SuperLU (`scipy.sparse.linalg.splu`)
+at the start of each phase and after every REFACTOR_EVERY basis changes; in
+between, each basis change appends a product-form eta to the factorisation.
+The basic values x_B and the reduced costs d are recomputed from every fresh
+factorisation and updated by each step in between: d by the pivot row
+alpha_r = A^T B^-T e_r, which also updates the devex weights. OPTIMAL is only
+declared from a fresh factorisation with freshly computed d: when pricing
+finds no candidate while etas are pending, the basis is refactorised and
+priced again. Every BLAS call on the solve path is too small for OpenBLAS to
+start a second thread (objective values are elementwise sums over the
+columns, not dot products), so the pivot path does not depend on the number
+of BLAS threads. Deterministic: identical inputs give bit-identical output.
 
 Every solve starts from a basis through `_start`: the given `start` (the
 `LpSolution.basis` of an earlier solve of a program with the same columns,
@@ -28,12 +35,9 @@ optimal solve always returns a basis to start a later solve from.
 """
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.sparse.linalg import splu
 
 from .lp import EQ, GE, LinearProgram, LpSolution, Status, check_solution
 
@@ -87,17 +91,6 @@ def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
     return float(lim[p]), p, AT_LOWER if down[p] else AT_UPPER
 
 
-def _getrs(lu, r, trans):
-    """B0^-1 r (trans=0) or B0^-T r (trans=1) from `lu_factor`'s output;
-    LAPACK getrs without scipy's `lu_solve` wrapper, with the same result."""
-    if not r.size:  # a row-free program; getrs rejects empty arrays
-        return r.copy()
-    z, info = dgetrs(*lu, r, trans=trans)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-    return z
-
-
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
@@ -121,14 +114,14 @@ class _Loop:
         col[A.indices[lo:hi]] = A.data[lo:hi]
         return col
 
-    def _factor(self, B):
+    def _factor(self, basis):
         self.factorizations += 1
-        return lu_factor(B, check_finite=False)
+        return splu(self.A[:, basis])
 
     @staticmethod
     def _ftran(lu, etas, r):
         """B^-1 r for B = B0 E1 ... Ek: the LU of B0, then each eta in order."""
-        z = _getrs(lu, r, 0)
+        z = lu.solve(r)
         for p, w in etas:
             zp = z[p] / w[p]
             z -= zp * w
@@ -141,7 +134,7 @@ class _Loop:
         r = r.copy()
         for p, w in reversed(etas):
             r[p] = (r[p] - (w @ r - w[p] * r[p])) / w[p]
-        return _getrs(lu, r, 1)
+        return lu.solve(r, trans="T")
 
     def _basic_values(self, lu, etas, basis, x):
         """Set x_B to B^-1 (b - A_N x_N) from the factorisation."""
@@ -154,23 +147,24 @@ class _Loop:
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
         d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
         movable = self.ub > self.lb
-        B = self.A[:, basis].toarray()
         lu, self.lu = self.lu, None
         if lu is None:
-            lu = self._factor(B)
+            lu = self._factor(basis)
         else:
             self.factorizations += 1
         etas = []  # (position, FTRAN'd entering column) per basis change since lu
-        obj = float(c @ x)  # running objective, lowered by each step
+        fresh = True  # lu is new: recompute x_B and d, which steps update in between
+        weights = np.ones(len(c))  # devex reference weights
+        obj = float((c * x).sum())  # running objective, lowered by each step
         stall = 0  # steps in a row without a relative 1e-10 improvement
         while True:
             if self.iters >= MAX_ITERS:
                 self._basic_values(lu, etas, basis, x)
                 return Status.ITERATION_LIMIT
-            if not etas:  # a fresh LU: recompute x_B, which steps update in between
+            if fresh:
                 self._basic_values(lu, etas, basis, x)
-            y = self._btran(lu, etas, c[basis])
-            d = c - self.AT @ y
+                d = c - self.AT @ self._btran(lu, etas, c[basis])
+                fresh = False
             elig = movable & (
                 ((vstat == AT_LOWER) & (d < -d_tol)) | ((vstat == AT_UPPER) & (d > d_tol))
             )
@@ -179,16 +173,16 @@ class _Loop:
                 if not etas:
                     return Status.OPTIMAL
                 # confirm optimality on a fresh factorisation
-                lu, etas = self._factor(B), []
+                lu, etas, fresh = self._factor(basis), [], True
                 continue
             if stall >= STALL_LIMIT:  # Bland's rule
                 q = int(cand[0])
                 self.bland_iters += 1
             else:
-                q = int(cand[np.argmax(np.abs(d[cand]))])
+                dc = d[cand]
+                q = int(cand[np.argmax(dc * dc / weights[cand])])
             sigma = 1.0 if vstat[q] == AT_LOWER else -1.0
-            a_q = self._column(q)
-            w = self._ftran(lu, etas, a_q)
+            w = self._ftran(lu, etas, self._column(q))
             dxb = -sigma * w
             t_basic, leave_p, leave_to = _ratio_test(
                 dxb, x[basis], self.lb[basis], self.ub[basis], basis, PIVOT_TOL
@@ -212,12 +206,19 @@ class _Loop:
                 v_leave = basis[leave_p]
                 x[v_leave] = self.lb[v_leave] if leave_to == AT_LOWER else self.ub[v_leave]
                 vstat[v_leave] = leave_to
+                # pivot row alpha_r = A^T B^-T e_r of the basis before the change
+                e_r = np.zeros(self.m)
+                e_r[leave_p] = 1.0
+                alpha = self.AT @ self._btran(lu, etas, e_r)
+                a_rq, w_q = alpha[q], weights[q]
+                d -= (d[q] / a_rq) * alpha
+                np.maximum(weights, np.square(alpha / a_rq) * w_q, out=weights)
+                weights[v_leave] = max(w_q / a_rq**2, 1.0)
                 basis[leave_p] = q
                 vstat[q] = BASIC
-                B[:, leave_p] = a_q
                 etas.append((leave_p, w))
                 if len(etas) >= REFACTOR_EVERY:
-                    lu, etas = self._factor(B), []
+                    lu, etas, fresh = self._factor(basis), [], True
 
             self.iters += 1
 
@@ -243,15 +244,16 @@ def _start(A, b, lb, ub, start):
     upper = vstat == AT_UPPER
     if len(basis) != m or np.isinf(ub[upper]).any():
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a singular B is rejected below
-        lu = lu_factor(A[:, basis].toarray(order="F"), overwrite_a=True, check_finite=False)
-    u = np.abs(np.diag(lu[0]))
+    try:
+        lu = splu(A[:, basis])
+    except RuntimeError:  # exactly singular
+        return None
+    u = np.abs(lu.U.diagonal())
     if u.min(initial=np.inf) <= PIVOT_TOL * u.max(initial=0.0):
         return None
     x = np.where(upper, ub, lb)
     x[basis] = 0.0
-    xb = x[basis] = _getrs(lu, b - A @ x, 0)
+    xb = x[basis] = lu.solve(b - A @ x)
     pos = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ub[basis] + FEAS_TOL))
     slack = basis[pos]
     if (slack < N - m).any():
@@ -269,10 +271,7 @@ def _start(A, b, lb, ub, start):
         ub = np.concatenate([ub, np.full(k, np.inf)])
         vstat = np.concatenate([vstat, np.full(k, BASIC, dtype=np.int8)])
         x = np.concatenate([x, np.abs(e)])
-        # where e < 0 the artificial's column is minus the slack's; B with
-        # column p negated factorises exactly as P L U with U's column negated
-        for p in pos[e < 0]:
-            lu[0][: p + 1, p] *= -1.0
+        lu = splu(A[:, basis])
     return A, lb, ub, basis, vstat, x, lu
 
 
@@ -343,7 +342,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
         return LpSolution(
             status=status,
             x=x_orig,
-            objective_value=float(lp.objective @ x_orig),
+            objective_value=float((lp.objective * x_orig).sum()),
             iterations=loop.iters,
             max_primal_infeasibility=rep.max_violation,
             ray_var=loop.ray_var,

@@ -169,6 +169,12 @@ def _short_tech_row(data):
     (data / "tech.csv").write_text("\n".join(lines) + "\n")
 
 
+def _append_byte_ff(name):
+    """An edit of a dataset directory that appends the byte 0xff, which
+    starts no UTF-8 character, to `name`."""
+    return lambda data: (data / name).write_bytes((data / name).read_bytes() + b"\xff")
+
+
 def _no_regions(data):
     for name in ("regions.csv", "tech.csv"):  # header lines only
         header = (data / name).read_text().splitlines()[0]
@@ -208,6 +214,13 @@ def _no_regions(data):
         pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1", repeat=True),
                      "regions.csv:3: repeated region id aster", DataError, id="region-id-repeated"),
         pytest.param(_no_regions, "regions: no region given", ValidationError, id="no-regions"),
+        pytest.param(_append_byte_ff("regions.csv"), "regions.csv: not readable as UTF-8 CSV", DataError,
+                     id="regions-not-utf8"),
+        pytest.param(_append_byte_ff("series/g_solar_aster.csv"), "series/g_solar_aster.csv: not readable as UTF-8 CSV",
+                     DataError, id="series-not-utf8"),
+        pytest.param(_edit_csv("tech.csv", "potential_gw", "1" * 200_000), "tech.csv: not readable as UTF-8 CSV",
+                     DataError, id="cell-over-csv-field-limit"),
+        pytest.param(_append_byte_ff("globals.json"), "globals.json: not UTF-8 text", DataError, id="globals-not-utf8"),
         pytest.param(_zero_baselines, "regions: total baseline emissions is 0", ValidationError, id="zero-baselines"),
     ],
 )
@@ -223,6 +236,20 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, edit, field, error):
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+
+
+def test_unreadable_regions_table_is_one_error(tmp_path, capsys):
+    # without a region table the tech rows are not checked against it, so
+    # the 20 rows of tech.csv add no "unknown region_id" errors
+    data = tmp_path / "d"
+    shutil.copytree(DATA, data)
+    (data / "regions.csv").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--data", str(data)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: regions.csv: missing columns ['id', 'C0_tonnes', 'ccs_capacity_tonnes']"
+    ]
 
 
 def _bad_alpha_dataset(root):

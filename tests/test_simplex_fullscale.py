@@ -1,8 +1,14 @@
 """Full-scale solver checks on toy-nation (1,452 variables), beyond the reach
 of the vertex-enumeration oracle: agreement with HiGHS, agreement between
 the eta-file path and a fresh LU factorisation on every pivot, and agreement
-between warm-started solves (lex stage 2, sweep points) and cold ones."""
+between warm-started solves (lex stage 2, sweep points) and cold ones, and
+results that do not depend on the number of BLAS threads."""
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from scipy.optimize import linprog
 
 from ccsplan import engine, simplex
 from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, assemble, offset_vector, scenario_config
+from ccsplan.dataio import toy_nation_path
 from ccsplan.lp import EQ, GE, LE, Status
 from ccsplan.simplex import solve
 
@@ -177,3 +184,40 @@ def test_sweep_points_start_from_their_neighbour(toy_instance, golden, monkeypat
     for lp, _, warm in calls[1:]:
         assert warm.warm_start and warm.phase1_iterations == 0
         assert warm.objective_value == pytest.approx(solve(lp).objective_value, rel=1e-9)
+
+
+RUN_ALL_WITH_STATS = """
+import json, sys
+from ccsplan import cli, engine
+stats = {}
+run_all = engine.run_all
+def spy(*a, **kw):
+    out = run_all(*a, **kw)
+    stats.update({sid: [r.solve_stats["stage1_iterations"], r.solve_stats["iterations"]] for sid, r in out.items()})
+    return out
+engine.run_all = spy
+code = cli.main(["run-all", "--data", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "stats": stats}))
+"""
+
+
+def test_blas_thread_count_does_not_move_results(tmp_path):
+    # lex run-all on toy-nation in fresh interpreters with one and two
+    # OpenBLAS threads: the same pivots and byte-identical bundles
+    src = str(Path(simplex.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ALL_WITH_STATS, str(toy_nation_path()), str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        runs[threads] = json.loads(proc.stdout.splitlines()[-1]), {f: (out / f).read_bytes() for f in files}
+    (result1, bundles1), (result2, bundles2) = runs["1"], runs["2"]
+    assert result1["code"] == 0 and len(result1["stats"]) == 4
+    assert result1 == result2
+    assert len(bundles1) >= 20 and bundles1 == bundles2

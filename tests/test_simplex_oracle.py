@@ -3,7 +3,6 @@ the exhaustive vertex-enumeration oracle, and determinism."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import lu_solve
 
 from ccsplan import simplex
 from ccsplan.lp import LinearProgram, Row, Status
@@ -103,12 +102,16 @@ def beale_lp():
 
 
 def test_bland_rule_breaks_the_cycle_of_dantzig_pricing(monkeypatch):
-    # unscaled, Dantzig's rule cycles through degenerate pivots until the
-    # stall counter reaches STALL_LIMIT and Bland's rule takes over
+    # unscaled, Dantzig's rule (largest |d_j|) cycles on Beale's program;
+    # devex pricing does not, and Bland's rule on every pivot terminates too
     sol = solve_unscaled(beale_lp(), monkeypatch)
-    assert sol.status == Status.OPTIMAL
+    assert sol.status == Status.OPTIMAL and sol.bland_iterations == 0
     assert sol.objective_value == pytest.approx(-0.05)
-    assert sol.iterations > simplex.STALL_LIMIT and sol.bland_iterations > 0
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    bland = solve_unscaled(beale_lp(), monkeypatch)
+    assert bland.status == Status.OPTIMAL
+    assert bland.objective_value == pytest.approx(-0.05)
+    assert bland.bland_iterations == bland.iterations > 0
 
 
 def test_bland_rule_after_a_few_degenerate_pivots(monkeypatch):
@@ -174,8 +177,8 @@ def warm_lp():
 def test_warm_start_from_an_optimal_basis(lp, monkeypatch):
     cold = solve(lp)
     factored = []
-    lu_factor = simplex.lu_factor
-    monkeypatch.setattr(simplex, "lu_factor", lambda *a, **kw: factored.append(1) or lu_factor(*a, **kw))
+    splu = simplex.splu
+    monkeypatch.setattr(simplex, "splu", lambda *a, **kw: factored.append(1) or splu(*a, **kw))
     warm = solve(lp, start=cold.basis)
     assert len(factored) == warm.factorizations == 1  # phase 2 reuses the start's LU
     assert cold.status == warm.status == Status.OPTIMAL
@@ -240,7 +243,7 @@ def test_infeasible_slack_start_runs_phase_one(start):
 
 def test_start_lu_factorises_the_basis_with_artificials():
     # from x0 basic at 2 (the >= row), s0 would be 3 - 4 = -1: an artificial
-    # with column -e_0 replaces it, and the LU has fill below that column
+    # with column -e_0 replaces it, and the LU is that of the new basis
     lp = lp_of([-1.0, 1.0], [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]], ["<=", "<=", ">="], [3.0, 5.0, 2.0])
     A = sp.hstack([lp.matrix(), sp.diags([1.0, 1.0, -1.0])], format="csc")
     lb, ub = np.zeros(5), np.full(5, np.inf)
@@ -250,7 +253,7 @@ def test_start_lu_factorises_the_basis_with_artificials():
     np.testing.assert_array_equal(x, [2.0, 0.0, 0.0, 3.0, 0.0, 1.0])
     np.testing.assert_array_equal(vstat, [B, L, L, B, L, B])
     r = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(A[:, basis] @ lu_solve(lu, r), r, rtol=1e-14)
+    np.testing.assert_allclose(A[:, basis] @ lu.solve(r), r, rtol=1e-14)
 
 
 def test_left_over_artificial_gives_its_place_to_its_slack():
