@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Write the same ten CLI result-bundle sets from two checkouts and compare them.
+# Write the same twelve CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. The sets are written to OUT/parent/<set> and OUT/change/<set>, each
-# with the CLI's stdout and exit code (sets left in OUT by an earlier call are
-# removed first), then compared with `diff -rq`.
+# seed 1. Ten sets are result bundles; the other two are `ccsplan validate` on
+# each dataset, so that the load and validation path is compared too. The sets
+# are written to OUT/parent/<set> and OUT/change/<set>, each with the CLI's
+# stdout and exit code (sets left in OUT by an earlier call are removed first),
+# then compared with `diff -rq`.
 # Exit status: 0 when every file is byte-identical, 1 when some differ.
 set -euo pipefail
 
@@ -29,9 +31,10 @@ run() {
     shift 4
     local dir="$OUT/$side/$set"
     mkdir -p "$dir"
-    local code=0
+    local code=0 out=(--out "$dir/bundle")
+    if [ "$1" = validate ]; then out=(); fi  # validate writes no bundle
     PYTHONPATH="$root/src" PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
-        python3 -m ccsplan.cli "$@" --data "$data" --out "$dir/bundle" >"$dir/stdout.txt" || code=$?
+        python3 -m ccsplan.cli "$@" --data "$data" "${out[@]}" >"$dir/stdout.txt" || code=$?
     echo "$code" >"$dir/exit_code.txt"
 }
 
@@ -43,6 +46,8 @@ side() {
     PYTHONDONTWRITEBYTECODE=1 python3 -c \
         'import sys; sys.path.insert(0, sys.argv[1]); import gen_bau; gen_bau.generate(sys.argv[2], sys.argv[3], 1)' \
         "$root/perfbench" "$toy" "$bau"
+    run "$root" "$side" validate-toy "$toy" validate
+    run "$root" "$side" validate-bau "$bau" validate
     run "$root" "$side" runall-cost "$toy" run-all --objective cost
     run "$root" "$side" runall-cost-floor "$toy" run-all --objective cost "$FLOOR"
     run "$root" "$side" runall-lex "$toy" run-all --objective max-reduction

@@ -32,7 +32,6 @@ from .domain import (
     Horizon,
     ModelInstance,
     Region,
-    RegionTech,
     TechKind,
     ValidationError,
     validate_instance,

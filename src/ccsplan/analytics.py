@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TECH_ORDER, TechKind
 from .engine import ScenarioResult
 
 
@@ -64,21 +63,18 @@ def contribution_shares(result: ScenarioResult) -> ContributionShares:
     """Cumulative tonnes offset by solar, wind, and CCS, plus end shares."""
     inst = result.instance
     plan = result.plan
-    # (K, T): each year's offsets added region by region, then accumulated
-    per_year = np.cumsum((inst.tech_array("g") * plan.re_installed).sum(axis=0), axis=1)
-    by_tech = dict(zip(TECH_ORDER, per_year))
+    # (K, T) in TECH_ORDER: each year's offsets added region by region, then accumulated
+    solar, wind = np.cumsum((inst.g * plan.re_installed).sum(axis=0), axis=1)
     ccs = np.cumsum(plan.ccs_of_region().sum(axis=0))
-    total = by_tech[TechKind.SOLAR][-1] + by_tech[TechKind.WIND][-1] + ccs[-1]
+    total = solar[-1] + wind[-1] + ccs[-1]
     if total > 0:
-        pct = [100.0 * by_tech[TechKind.SOLAR][-1] / total,
-               100.0 * by_tech[TechKind.WIND][-1] / total,
-               100.0 * ccs[-1] / total]
+        pct = [100.0 * offset[-1] / total for offset in (solar, wind, ccs)]
     else:
         pct = [None, None, None]
     return ContributionShares(
         years=list(inst.horizon.years),
-        solar_t=by_tech[TechKind.SOLAR],
-        wind_t=by_tech[TechKind.WIND],
+        solar_t=solar,
+        wind_t=wind,
         ccs_t=ccs,
         solar_pct=pct[0],
         wind_pct=pct[1],
@@ -104,10 +100,10 @@ def cashflow(result: ScenarioResult) -> CashflowSeries:
     cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
 
     re = plan.re_installed  # (n, K, T); each sum below adds the techs in turn
-    fit_price = np.array([sp[kind] for kind in TECH_ORDER]) * inst.tech_array("h")[:, :, None]
-    invest_re = (inst.tech_array("rp") * re).sum(axis=1)
+    fit_price = sp * inst.h[:, :, None]
+    invest_re = (inst.rp * re).sum(axis=1)
     fit = (fit_price * np.cumsum(re, axis=2)).sum(axis=1)
-    ets = (cp * inst.tech_array("g") * re).sum(axis=1)
+    ets = (cp * inst.g * re).sum(axis=1)
 
     invest_ccs = ccsp * plan.ccs_of_region()
     # ccs_traded[j, i, t] is bought by j from i; each sum adds the regions in turn

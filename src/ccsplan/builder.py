@@ -109,9 +109,8 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
     c = np.zeros(index.num_vars)
     # tail[k, t0] = sum of FIT prices from year t0 to the end: capacity
     # installed at t earns electricity revenue in every remaining year
-    tail = np.cumsum([sp[k][::-1] for k in TECH_ORDER], axis=1)[:, ::-1]
-    h = instance.tech_array("h")[:, :, None]
-    c[index.re] = instance.tech_array("rp") - cp * instance.tech_array("g") - h * tail
+    tail = np.cumsum(sp[:, ::-1], axis=1)[:, ::-1]
+    c[index.re] = instance.rp - cp * instance.g - instance.h[:, :, None] * tail
     c[index.ccs_s[list(instance.sellers)]] = ccsp
     # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
     pairs = np.ix_(instance.buyers, instance.sellers)
@@ -123,7 +122,7 @@ def offset_vector(instance: ModelInstance, index: VariableIndex) -> np.ndarray:
     """Tonnes of CO2 offset per unit of each decision variable: the conversion
     ratio g of an RE install, one tonne per tonne stored for every CCS variable."""
     v = np.ones(index.num_vars)
-    v[index.re] = instance.tech_array("g")
+    v[index.re] = instance.g
     return v
 
 
@@ -182,7 +181,7 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
 
     # renewable potential rows: total installs per region-tech bounded by the
     # remaining economic potential (zero-potential pairs are fixed via bounds)
-    pot = instance.tech_array("potential")
+    pot = instance.potential
     ii, kk = np.nonzero(pot > 0)
     cc = index.re[ii, kk, :]
     families.append((np.repeat(np.arange(len(ii)), T), cc.ravel(), np.ones(cc.size), pot[ii, kk],
@@ -191,11 +190,10 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
     # per-year power-mix resilience rows, one per (year, tech k): the year's
     # installs of k minus alpha_k times all of the year's installs
     if config.resilience_enabled:
-        alpha = instance.globals.alpha
-        errors = alpha_errors(alpha)
+        a = instance.globals.alpha
+        errors = alpha_errors(a)
         if errors:
             raise ValidationError(errors)
-        a = np.array([alpha[kind] for kind in TECH_ORDER])
         shape = (T, NUM_TECH, n, NUM_TECH)  # (t, row tech k, region, column tech k2)
         rr = np.broadcast_to(np.arange(T * NUM_TECH).reshape(T, NUM_TECH, 1, 1), shape)
         cc = np.broadcast_to(index.re.transpose(2, 0, 1)[:, None], shape)
@@ -226,7 +224,7 @@ def assemble(instance: ModelInstance, config: ScenarioConfig):
     """LinearProgram plus its variable index for a scenario configuration."""
     index = VariableIndex(instance)
     upper = np.full(index.num_vars, np.inf)
-    upper[index.re[instance.tech_array("potential") <= 0]] = 0.0
+    upper[index.re[instance.potential <= 0]] = 0.0
     lp = LinearProgram(
         num_vars=index.num_vars,
         objective=build_objective(instance, index),

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dataio, engine
 from .builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
-from .domain import ValidationError
+from .domain import NUM_TECH, ValidationError
 from .engine import ScenarioError
 
 OBJECTIVE_MODES = {"cost": COST_ONLY, "max-reduction": MAX_REDUCTION_LEX}
@@ -100,7 +100,7 @@ def cmd_validate(parser, args) -> int:
     instance = _load(parser, args)
     y0 = instance.horizon.start_year
     y1 = instance.horizon.year_of(instance.T)
-    n_series = sum(2 * len(r.tech) for r in instance.regions) + 4 + len(instance.globals.sp)
+    n_series = 2 * instance.n * NUM_TECH + 4 + NUM_TECH
     print(
         f"{instance.n} regions ({len(instance.sellers)} storage-capable), "
         f"horizon {y0}–{y1}, {n_series} series"

@@ -21,12 +21,13 @@ import numpy as np
 
 from . import analytics
 from .domain import (
+    DEFAULT_ALPHA,
+    NUM_TECH,
     TECH_ORDER,
     GlobalParams,
     Horizon,
     ModelInstance,
     Region,
-    RegionTech,
     ValidationError,
     validate_instance,
 )
@@ -185,13 +186,10 @@ def load(path) -> ModelInstance:
     gt = _parse_series(gconf.get("gt"), T, "gt", errors) / mass
     cap = _parse_series(gconf.get("cap", [None] * T), T, "cap", errors) * mass
     spconf = _object(gconf, "sp", errors)
-    sp = {k: _parse_series(spconf.get(k.value), T, f"sp.{k.value}", errors) for k in TECH_ORDER}
+    sp = np.array([_parse_series(spconf.get(k.value), T, f"sp.{k.value}", errors) for k in TECH_ORDER])
     alpha_conf = _object(gconf, "alpha", errors)
-    alpha = None
-    if alpha_conf:
-        alpha = {
-            k: _float(alpha_conf.get(k.value, 0.0), f"globals.json: alpha.{k.value}", errors) for k in TECH_ORDER
-        }
+    alpha = np.array([_float(alpha_conf.get(k.value, 0.0), f"globals.json: alpha.{k.value}", errors)
+                      for k in TECH_ORDER] if alpha_conf else DEFAULT_ALPHA)
 
     regions = {}
     region_rows = _read_table(
@@ -201,11 +199,13 @@ def load(path) -> ModelInstance:
         loc = None
         if row.get("lat", "").strip() and row.get("lon", "").strip():
             loc = tuple(_float(row[c], f"regions.csv:{line}: {c}", errors) for c in ("lat", "lon"))
-        regions[rid] = Region(
-            id=rid, baseline_emissions=c0 * mass, tech={}, ccs_capacity=ccs_cap * mass, location=loc
-        )
+        regions[rid] = Region(id=rid, baseline_emissions=c0 * mass, ccs_capacity=ccs_cap * mass, location=loc)
 
-    kind_of = {k.value: k for k in TECH_ORDER}
+    # a region-tech pair with no tech.csv row stays zero: the region cannot deploy it
+    idx = {rid: i for i, rid in enumerate(regions)}
+    g, rp = np.zeros((len(idx), NUM_TECH, T)), np.zeros((len(idx), NUM_TECH, T))
+    h, potential = np.zeros((len(idx), NUM_TECH)), np.zeros((len(idx), NUM_TECH))
+    kind_of = {k.value: j for j, k in enumerate(TECH_ORDER)}
 
     @functools.cache
     def series(name):
@@ -223,7 +223,7 @@ def load(path) -> ModelInstance:
         root, "tech.csv", ("region_id", "tech"), "row for {} {}", ("potential_gw", "h_gwh_per_gw"),
         ("rp_series", "g_series"), errors,
     )
-    for (rid, tech), (line, row, (potential, h)) in (tech_rows or {}).items():
+    for (rid, tech), (line, row, (pot, gwh)) in (tech_rows or {}).items():
         if rid not in regions:
             if region_rows is not None:  # else regions.csv's one error stands for the rows
                 errors.append(f"tech.csv:{line}: unknown region_id {rid!r}")
@@ -236,11 +236,13 @@ def load(path) -> ModelInstance:
         if not (g_name and rp_name):
             errors.append(f"tech.csv:{line}: empty g_series or rp_series in {row!r}")
             continue
-        regions[rid].tech[kind] = RegionTech(g=series(g_name) * mass, rp=series(rp_name), h=h, potential=potential)
+        i = idx[rid]
+        g[i, kind] = series(g_name) * mass
+        rp[i, kind] = series(rp_name)
+        h[i, kind], potential[i, kind] = gwh, pot
 
     distances = None
     if (root / "distances.csv").exists():
-        idx = {rid: i for i, rid in enumerate(regions)}
         distances = np.zeros((len(idx), len(idx)))
         pairs = _read_table(root, "distances.csv", ("from_id", "to_id"), "pair {} -> {}", ("km",), (), errors)
         for (a, b), (line, row, (km,)) in (pairs or {}).items():
@@ -256,13 +258,11 @@ def load(path) -> ModelInstance:
     if errors:
         raise DataError(errors)
 
-    gp = GlobalParams(cp=cp, ccsp=ccsp, gt=gt, cap=cap, sp=sp)
-    if alpha is not None:
-        gp.alpha = alpha
     return ModelInstance(
         horizon=horizon,
         regions=list(regions.values()),
-        globals=gp,
+        globals=GlobalParams(cp=cp, ccsp=ccsp, gt=gt, cap=cap, sp=sp, alpha=alpha),
+        g=g, rp=rp, h=h, potential=potential,
         distances=distances,
     )
 

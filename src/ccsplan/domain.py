@@ -1,6 +1,9 @@
 """Input-side domain types, unit conventions, and dataset validation.
 
 Canonical units throughout: tonnes CO2, GW, GWh, yen, km, years.
+
+Per-technology data are arrays with the technology axis in `TECH_ORDER`, all
+zero for a technology a region cannot deploy.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ class TechKind(str, Enum):
 TECH_ORDER = (TechKind.SOLAR, TechKind.WIND)
 NUM_TECH = len(TECH_ORDER)
 
-DEFAULT_ALPHA = {TechKind.SOLAR: 0.31, TechKind.WIND: 0.69}
+DEFAULT_ALPHA = (0.31, 0.69)  # in TECH_ORDER
 
 
 class ValidationError(ValueError):
@@ -48,32 +51,9 @@ class Horizon:
 
 
 @dataclass
-class RegionTech:
-    """Per region-and-technology data.
-
-    g:  conversion ratio series [t CO2 per GW], length T
-    rp: unit investment cost series [yen per GW], length T (learning curve)
-    h:  GW -> GWh/year conversion factor
-    potential: total economically feasible capacity [GW]
-    """
-
-    g: np.ndarray
-    rp: np.ndarray
-    h: float
-    potential: float
-
-
-def zero_tech(num_years: int) -> RegionTech:
-    """Placeholder for a technology a region cannot deploy."""
-    z = np.zeros(num_years)
-    return RegionTech(g=z.copy(), rp=z.copy(), h=0.0, potential=0.0)
-
-
-@dataclass
 class Region:
     id: str
     baseline_emissions: float  # C_i(0), tonnes/year
-    tech: dict
     ccs_capacity: float  # total storable tonnes over horizon; 0 => no storage
     location: tuple | None = None  # (lat, lon) degrees
 
@@ -88,8 +68,8 @@ class GlobalParams:
     ccsp: np.ndarray  # CCS capture+storage unit cost [yen/t]
     gt: np.ndarray  # CCS transport unit cost [yen/(t*km)]
     cap: np.ndarray  # national yearly emission ceiling [t]; np.inf = unbounded
-    sp: dict  # TechKind -> FIT price series [yen/GWh]
-    alpha: dict = field(default_factory=lambda: dict(DEFAULT_ALPHA))
+    sp: np.ndarray  # (K, T) FIT price [yen/GWh]
+    alpha: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_ALPHA))  # (K,) mix shares
 
 
 @dataclass
@@ -97,6 +77,10 @@ class ModelInstance:
     horizon: Horizon
     regions: list
     globals: GlobalParams
+    g: np.ndarray  # (n, K, T) conversion ratio [t CO2 per GW]
+    rp: np.ndarray  # (n, K, T) unit investment cost [yen per GW] (learning curve)
+    h: np.ndarray  # (n, K) GW -> GWh/year conversion factor
+    potential: np.ndarray  # (n, K) total economically feasible capacity [GW]
     distances: np.ndarray | None = None  # given d[j][i] in km; see `distance_km`
 
     @property
@@ -136,11 +120,6 @@ class ModelInstance:
     def baseline_total(self) -> float:
         return float(sum(r.baseline_emissions for r in self.regions))
 
-    def tech_array(self, field: str) -> np.ndarray:
-        """One `RegionTech` field of every region and technology: (n, K) for
-        the scalars h and potential, (n, K, T) for the series g and rp."""
-        return np.array([[getattr(r.tech[kind], field) for kind in TECH_ORDER] for r in self.regions], dtype=float)
-
 
 def great_circle_km(a: tuple, b: tuple) -> float:
     """Haversine distance between two (lat, lon) points in degrees."""
@@ -164,6 +143,19 @@ def _as_series(values, T, path, errors):
     return arr
 
 
+def _shaped(values, shape, path, errors):
+    """`values` as a float array of `shape`, or None after recording an error."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        errors.append(f"{path}: not an array of numbers")
+        return None
+    if arr.shape != shape:
+        errors.append(f"{path}: shape {arr.shape} ≠ {shape}")
+        return None
+    return arr
+
+
 def _check_scalar(value, path, errors):
     if not math.isfinite(value):
         errors.append(f"{path}: non-finite value {value!r}")
@@ -171,12 +163,12 @@ def _check_scalar(value, path, errors):
         errors.append(f"{path}: negative value {value!r}")
 
 
-def alpha_errors(alpha: dict) -> list:
+def alpha_errors(alpha: np.ndarray) -> list:
     """Violations of the mix rule's shares: each positive, summing to 1."""
-    total = sum(alpha.get(k, 0.0) for k in TECH_ORDER)
+    total = float(alpha.sum())
     errors = [] if abs(total - 1.0) <= 1e-9 else [f"globals.alpha: alpha sums to {total:g}"]
-    for k in TECH_ORDER:
-        if not alpha.get(k, 0.0) > 0:
+    for k, share in zip(TECH_ORDER, alpha):
+        if not share > 0:
             errors.append(f"globals.alpha[{k.value}]: must be > 0 when resilience is enabled")
     return errors
 
@@ -204,51 +196,48 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
             errors.append(f"regions[{r.id}]: duplicate region id")
         seen.add(r.id)
 
-    g = raw.globals
-    cp = _as_series(g.cp, T, "globals.cp", errors)
-    ccsp = _as_series(g.ccsp, T, "globals.ccsp", errors)
-    gt = _as_series(g.gt, T, "globals.gt", errors)
-    cap = np.asarray(g.cap, dtype=float)
+    gp = raw.globals
+    n, K = len(raw.regions), NUM_TECH
+    shape_errors = []  # the checks below index each array by region and tech
+    g = _shaped(raw.g, (n, K, T), "g", shape_errors)
+    rp = _shaped(raw.rp, (n, K, T), "rp", shape_errors)
+    h = _shaped(raw.h, (n, K), "h", shape_errors)
+    potential = _shaped(raw.potential, (n, K), "potential", shape_errors)
+    sp = _shaped(gp.sp, (K, T), "globals.sp", shape_errors)
+    alpha = _shaped(gp.alpha, (K,), "globals.alpha", shape_errors)
+    if shape_errors:
+        raise ValidationError(errors + shape_errors)
+
+    cp = _as_series(gp.cp, T, "globals.cp", errors)
+    ccsp = _as_series(gp.ccsp, T, "globals.ccsp", errors)
+    gt = _as_series(gp.gt, T, "globals.gt", errors)
+    cap = np.asarray(gp.cap, dtype=float)
     if cap.shape != (T,):
         errors.append(f"globals.cap: series length {cap.shape[0] if cap.ndim == 1 else cap.shape} ≠ horizon {T}")
     elif np.any(np.nan_to_num(cap, nan=-1.0) < 0) or np.any(np.isnan(cap)):
         errors.append("globals.cap: negative or NaN value (use +inf for an unbounded year)")
 
-    sp = {}
-    for k in TECH_ORDER:
-        if k not in g.sp:
-            errors.append(f"globals.sp[{k.value}]: missing series")
-            sp[k] = np.zeros(T)
-        else:
-            sp[k] = _as_series(g.sp[k], T, f"globals.sp[{k.value}]", errors)
-
-    alpha = {k: float(g.alpha.get(k, 0.0)) for k in TECH_ORDER}
+    for k, kind in enumerate(TECH_ORDER):
+        _as_series(sp[k], T, f"globals.sp[{kind.value}]", errors)
 
     regions = []
-    for r in raw.regions:
+    for i, r in enumerate(raw.regions):
         _check_scalar(r.baseline_emissions, f"regions[{r.id}].baseline_emissions", errors)
         _check_scalar(r.ccs_capacity, f"regions[{r.id}].ccs_capacity", errors)
         if r.location is not None:
             for name, value, limit in zip(("lat", "lon"), r.location, (90.0, 180.0)):
                 if not abs(value) <= limit:
                     errors.append(f"regions[{r.id}].location.{name}: {value!r} outside [-{limit:g}, {limit:g}]")
-        tech = {}
-        for k in TECH_ORDER:
-            rt = r.tech.get(k)
-            if rt is None:
-                tech[k] = zero_tech(T)
-                continue
-            path = f"regions[{r.id}].tech[{k.value}]"
-            gs = _as_series(rt.g, T, f"{path}.g", errors)
-            rps = _as_series(rt.rp, T, f"{path}.rp", errors)
-            _check_scalar(rt.h, f"{path}.h", errors)
-            _check_scalar(rt.potential, f"{path}.potential", errors)
-            tech[k] = RegionTech(g=gs, rp=rps, h=float(rt.h), potential=float(rt.potential))
+        for k, kind in enumerate(TECH_ORDER):
+            path = f"regions[{r.id}].tech[{kind.value}]"
+            _as_series(g[i, k], T, f"{path}.g", errors)
+            _as_series(rp[i, k], T, f"{path}.rp", errors)
+            _check_scalar(float(h[i, k]), f"{path}.h", errors)
+            _check_scalar(float(potential[i, k]), f"{path}.potential", errors)
         regions.append(
             Region(
                 id=r.id,
                 baseline_emissions=float(r.baseline_emissions),
-                tech=tech,
                 ccs_capacity=float(r.ccs_capacity),
                 location=tuple(r.location) if r.location is not None else None,
             )
@@ -283,5 +272,6 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
         horizon=raw.horizon,
         regions=regions,
         globals=GlobalParams(cp=cp, ccsp=ccsp, gt=gt, cap=cap, sp=sp, alpha=alpha),
+        g=g, rp=rp, h=h, potential=potential,
         distances=dist,
     )

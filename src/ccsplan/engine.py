@@ -88,9 +88,8 @@ def compute_emissions(instance: ModelInstance, plan: DeploymentPlan) -> np.ndarr
     """Per-region emission paths via the telescoped recursion (no re-solve);
     values within `CCS_CLAMP` of zero are roundoff and snap to exactly 0."""
     offs = plan.ccs_of_region()
-    g = instance.tech_array("g")
     for k in range(NUM_TECH):  # each technology added in turn onto the CCS offsets
-        offs += g[:, k] * plan.re_installed[:, k]
+        offs += instance.g[:, k] * plan.re_installed[:, k]
     baselines = np.array([r.baseline_emissions for r in instance.regions])
     emissions = baselines[:, None] - np.cumsum(offs, axis=1)
     return np.where(np.abs(emissions) < CCS_CLAMP, 0.0, emissions)

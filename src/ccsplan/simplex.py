@@ -342,7 +342,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
         return LpSolution(
             status=status,
             x=x_orig,
-            objective_value=float((lp.objective * x_orig).sum()),
+            objective_value=rep.objective,
             iterations=loop.iters,
             max_primal_infeasibility=rep.max_violation,
             ray_var=loop.ray_var,

@@ -11,9 +11,6 @@ from ccsplan.domain import (
     Horizon,
     ModelInstance,
     Region,
-    RegionTech,
-    TechKind,
-    zero_tech,
 )
 from ccsplan.engine import run_scenario
 
@@ -28,22 +25,24 @@ def make_unit_instance(cap=50.0, ccs_capacity=30.0):
     objective of -6.
     """
     T = 1
-    solar = RegionTech(g=np.array([10.0]), rp=np.array([8.0]), h=1.0, potential=4.0)
-    region = Region(
-        id="R",
-        baseline_emissions=100.0,
-        tech={TechKind.SOLAR: solar, TechKind.WIND: zero_tech(T)},
-        ccs_capacity=ccs_capacity,
-        location=(0.0, 0.0),
-    )
+    region = Region(id="R", baseline_emissions=100.0, ccs_capacity=ccs_capacity, location=(0.0, 0.0))
     g = GlobalParams(
         cp=np.array([1.0]),
         ccsp=np.array([1.0]),
         gt=np.array([0.0]),
         cap=np.array([cap]),
-        sp={TechKind.SOLAR: np.array([2.0]), TechKind.WIND: np.array([0.0])},
+        sp=np.array([[2.0], [0.0]]),
     )
-    return ModelInstance(horizon=Horizon(2018, T), regions=[region], globals=g)
+    # (region, tech, year) in TECH_ORDER: solar, then an all-zero wind
+    return ModelInstance(
+        horizon=Horizon(2018, T),
+        regions=[region],
+        globals=g,
+        g=np.array([[[10.0], [0.0]]]),
+        rp=np.array([[[8.0], [0.0]]]),
+        h=np.array([[1.0, 0.0]]),
+        potential=np.array([[4.0, 0.0]]),
+    )
 
 
 def make_trade_instance():
@@ -56,25 +55,23 @@ def make_trade_instance():
     T = 1
 
     def bare(rid, c0, cap_t, loc):
-        return Region(
-            id=rid,
-            baseline_emissions=c0,
-            tech={TechKind.SOLAR: zero_tech(T), TechKind.WIND: zero_tech(T)},
-            ccs_capacity=cap_t,
-            location=loc,
-        )
+        return Region(id=rid, baseline_emissions=c0, ccs_capacity=cap_t, location=loc)
 
     g = GlobalParams(
         cp=np.array([1.0]),
         ccsp=np.array([1.0]),
         gt=np.array([0.01]),
         cap=np.array([60.0]),
-        sp={TechKind.SOLAR: np.zeros(T), TechKind.WIND: np.zeros(T)},
+        sp=np.zeros((2, T)),
     )
     return ModelInstance(
         horizon=Horizon(2018, T),
         regions=[bare("seller", 5.0, 100.0, (0.0, 0.0)), bare("buyer", 95.0, 0.0, (0.0, 0.0))],
         globals=g,
+        g=np.zeros((2, 2, T)),
+        rp=np.zeros((2, 2, T)),
+        h=np.zeros((2, 2)),
+        potential=np.zeros((2, 2)),
         distances=np.array([[0.0, 100.0], [100.0, 0.0]]),
     )
 

@@ -10,7 +10,7 @@ from ccsplan.analytics import (
     trade_matrix,
 )
 from ccsplan.builder import COST_ONLY, DeploymentPlan, VariableIndex, build_objective, scenario_config
-from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region, TechKind, zero_tech
+from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region
 from ccsplan.engine import ScenarioResult, run_scenario
 
 from conftest import make_trade_instance, make_unit_instance
@@ -44,7 +44,7 @@ def test_unit_contribution_shares(unit_result):
 def test_shares_none_when_nothing_deployed():
     inst = make_unit_instance(cap=np.inf)
     inst.globals.cp = np.array([0.0])
-    inst.globals.sp = {k: np.zeros(1) for k in inst.globals.sp}
+    inst.globals.sp = np.zeros((2, 1))
     res = run_scenario(inst, scenario_config(1, objective_mode=COST_ONLY))
     shares = contribution_shares(res)
     assert shares.solar_pct is None and shares.ccs_pct is None
@@ -110,15 +110,15 @@ def test_trades_run_from_buyer_to_seller():
     T = 2
     ids, storage = ("b1", "s1", "b2", "s2"), (0.0, 50.0, 0.0, 80.0)
     regions = [
-        Region(id=rid, baseline_emissions=100.0, ccs_capacity=cap, location=None,
-               tech={TechKind.SOLAR: zero_tech(T), TechKind.WIND: zero_tech(T)})
+        Region(id=rid, baseline_emissions=100.0, ccs_capacity=cap, location=None)
         for rid, cap in zip(ids, storage)
     ]
     g = GlobalParams(cp=np.array([3.0, 5.0]), ccsp=np.array([2.0, 7.0]), gt=np.array([0.1, 0.3]),
-                     cap=np.full(T, np.inf), sp={TechKind.SOLAR: np.zeros(T), TechKind.WIND: np.zeros(T)})
+                     cap=np.full(T, np.inf), sp=np.zeros((2, T)))
     km = np.array([[0.0, 10.0, 20.0, 30.0], [40.0, 0.0, 50.0, 60.0],
                    [70.0, 80.0, 0.0, 90.0], [110.0, 130.0, 170.0, 0.0]])
-    inst = ModelInstance(horizon=Horizon(2018, T), regions=regions, globals=g, distances=km)
+    inst = ModelInstance(horizon=Horizon(2018, T), regions=regions, globals=g, g=np.zeros((4, 2, T)),
+                         rp=np.zeros((4, 2, T)), h=np.zeros((4, 2)), potential=np.zeros((4, 2)), distances=km)
     assert inst.buyers == (0, 2) and inst.sellers == (1, 3)
 
     index = VariableIndex(inst)

@@ -14,15 +14,7 @@ from ccsplan.builder import (
     offset_vector,
     scenario_config,
 )
-from ccsplan.domain import (
-    GlobalParams,
-    Horizon,
-    ModelInstance,
-    Region,
-    TechKind,
-    ValidationError,
-    zero_tech,
-)
+from ccsplan.domain import Horizon, ValidationError
 from ccsplan.lp import LpSolution, Status, to_mps
 from ccsplan.simplex import solve
 
@@ -70,12 +62,11 @@ def test_small_bipartite_count():
     # two regions (one seller), two years: 8 RE + 2 local + 2 traded = 12
     inst = make_trade_instance()
     inst.horizon = Horizon(2018, 2)
-    for r in inst.regions:
-        r.tech = {k: zero_tech(2) for k in (TechKind.SOLAR, TechKind.WIND)}
+    inst.g, inst.rp = np.zeros((2, 2, 2)), np.zeros((2, 2, 2))
     g = inst.globals
     for attr in ("cp", "ccsp", "gt", "cap"):
         setattr(g, attr, np.repeat(getattr(g, attr), 2))
-    g.sp = {k: np.zeros(2) for k in g.sp}
+    g.sp = np.zeros((2, 2))
     assert VariableIndex(inst).num_vars == 12
 
 
@@ -93,16 +84,14 @@ def test_traded_ccs_cost_coefficient():
 def test_fit_revenue_accumulates_over_remaining_years():
     inst = make_unit_instance()
     inst.horizon = Horizon(2018, 2)
-    solar = inst.regions[0].tech[TechKind.SOLAR]
-    solar.g = np.array([10.0, 10.0])
-    solar.rp = np.array([8.0, 8.0])
-    inst.regions[0].tech[TechKind.WIND] = zero_tech(2)
+    inst.g = np.array([[[10.0, 10.0], [0.0, 0.0]]])  # solar, then wind
+    inst.rp = np.array([[[8.0, 8.0], [0.0, 0.0]]])
     g = inst.globals
     g.cp = np.array([1.0, 1.0])
     g.ccsp = np.array([1.0, 1.0])
     g.gt = np.zeros(2)
     g.cap = np.array([np.inf, np.inf])
-    g.sp = {TechKind.SOLAR: np.array([3.0, 1.0]), TechKind.WIND: np.zeros(2)}
+    g.sp = np.array([[3.0, 1.0], [0.0, 0.0]])
     index = VariableIndex(inst)
     c = build_objective(inst, index)
     # year-1 install earns FIT in both years (tail 4), year-2 only the last (1)
@@ -120,16 +109,14 @@ def test_offset_vector():
 def test_cap_rows_skip_unbounded_years():
     inst = make_unit_instance()
     inst.horizon = Horizon(2018, 2)
-    solar = inst.regions[0].tech[TechKind.SOLAR]
-    solar.g = np.array([10.0, 10.0])
-    solar.rp = np.array([8.0, 8.0])
-    inst.regions[0].tech[TechKind.WIND] = zero_tech(2)
+    inst.g = np.array([[[10.0, 10.0], [0.0, 0.0]]])  # solar, then wind
+    inst.rp = np.array([[[8.0, 8.0], [0.0, 0.0]]])
     g = inst.globals
     g.cp = np.array([1.0, 1.0])
     g.ccsp = np.array([1.0, 1.0])
     g.gt = np.zeros(2)
     g.cap = np.array([np.inf, 50.0])
-    g.sp = {TechKind.SOLAR: np.zeros(2), TechKind.WIND: np.zeros(2)}
+    g.sp = np.zeros((2, 2))
     lp, _ = assemble(inst, scenario_config(1))
     cap_rows = [r for r in lp.rows if r.name.startswith("cap[")]
     assert [r.name for r in cap_rows] == ["cap[2019]"]
@@ -151,7 +138,7 @@ def test_resilience_rows_and_alpha_guard():
     inst = make_unit_instance()
     lp, _ = assemble(inst, scenario_config(2))
     assert sum(r.name.startswith("mix[") for r in lp.rows) == 2
-    inst.globals.alpha = {TechKind.SOLAR: 0.5, TechKind.WIND: 0.4}
+    inst.globals.alpha = np.array([0.5, 0.4])
     with pytest.raises(ValidationError, match="alpha sums to 0.9"):
         assemble(inst, scenario_config(2))
 

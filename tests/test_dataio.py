@@ -15,7 +15,7 @@ from ccsplan.dataio import (
     write_results,
     write_sweep,
 )
-from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region, RegionTech, TechKind
+from ccsplan.domain import GlobalParams, Horizon, ModelInstance, Region
 from ccsplan.engine import ScenarioResult, SweepPoint, SweepResult, compute_emissions, run_scenario
 
 from conftest import make_unit_instance
@@ -74,10 +74,11 @@ def test_mini_dataset_roundtrip(tmp_path):
     assert inst.sellers == (0,)
     np.testing.assert_allclose(inst.globals.cp, [10.0, 10.0])
     np.testing.assert_allclose(inst.globals.cap, [np.inf, 50.0])
-    north = inst.regions[0].tech[TechKind.SOLAR]
-    np.testing.assert_allclose(north.g, [10.0, 10.0])
-    # missing tech rows become zero placeholders during validation
-    assert inst.regions[1].tech[TechKind.WIND].potential == 0.0
+    np.testing.assert_allclose(inst.g[0, 0], [10.0, 10.0])  # north solar
+    # a region-tech pair without a tech.csv row (south wind) loads as all zero
+    assert inst.potential[1, 1] == 0.0 and inst.h[1, 1] == 0.0
+    np.testing.assert_array_equal(inst.g[1, 1], [0.0, 0.0])
+    np.testing.assert_array_equal(inst.rp[1, 1], [0.0, 0.0])
 
 
 def test_whole_number_float_horizon_loads(tmp_path):
@@ -96,9 +97,7 @@ def test_mass_unit_scaling_is_equivalent(tmp_path):
     np.testing.assert_allclose(a.globals.cp, b.globals.cp)
     np.testing.assert_allclose(a.globals.cap, b.globals.cap)
     assert a.regions[0].baseline_emissions == pytest.approx(b.regions[0].baseline_emissions)
-    np.testing.assert_allclose(
-        a.regions[0].tech[TechKind.SOLAR].g, b.regions[0].tech[TechKind.SOLAR].g
-    )
+    np.testing.assert_allclose(a.g, b.g)
 
 
 def test_missing_required_file(tmp_path):
@@ -222,22 +221,19 @@ def two_by_two_result():
     """A hand-made plan on two regions and two years, with both technologies,
     one trade and some zero entries; no solve, so every cell can be checked
     by hand."""
-
-    def tech(g, rp, h, potential):
-        return RegionTech(g=np.array(g), rp=np.array(rp), h=h, potential=potential)
-
-    north = Region("north", 60.0, {TechKind.SOLAR: tech([10.0, 10.0], [8.0, 6.0], 1.0, 5.0),
-                                   TechKind.WIND: tech([20.0, 20.0], [12.0, 12.0], 2.0, 3.0)},
-                   ccs_capacity=100.0, location=(0.0, 0.0))
-    south = Region("south", 40.0, {TechKind.SOLAR: tech([5.0, 5.0], [7.0, 7.0], 1.0, 4.0),
-                                   TechKind.WIND: tech([8.0, 8.0], [10.0, 9.0], 2.0, 2.0)},
-                   ccs_capacity=0.0, location=(0.0, 1.0))
+    north = Region("north", 60.0, ccs_capacity=100.0, location=(0.0, 0.0))
+    south = Region("south", 40.0, ccs_capacity=0.0, location=(0.0, 1.0))
     prices = GlobalParams(
         cp=np.array([1.0, 2.0]), ccsp=np.array([0.5, 0.5]), gt=np.array([0.01, 0.01]),
         cap=np.array([np.inf, 50.0]),
-        sp={TechKind.SOLAR: np.array([2.0, 1.0]), TechKind.WIND: np.array([1.0, 1.0])},
+        sp=np.array([[2.0, 1.0], [1.0, 1.0]]),  # solar, wind
     )
+    # (region, tech, year): north solar, north wind; south solar, south wind
     inst = ModelInstance(Horizon(2030, 2), [north, south], prices,
+                         g=np.array([[[10.0, 10.0], [20.0, 20.0]], [[5.0, 5.0], [8.0, 8.0]]]),
+                         rp=np.array([[[8.0, 6.0], [12.0, 12.0]], [[7.0, 7.0], [10.0, 9.0]]]),
+                         h=np.array([[1.0, 2.0], [1.0, 2.0]]),
+                         potential=np.array([[5.0, 3.0], [4.0, 2.0]]),
                          distances=np.array([[0.0, 100.0], [100.0, 0.0]]))
     re = np.zeros((2, 2, 2))  # (region, tech, year)
     re[0, 0, 0], re[0, 1, 1], re[1, 0, 1], re[1, 1, 0] = 1.0, 0.5, 2.0, 1.5

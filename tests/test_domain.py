@@ -5,11 +5,10 @@ import pytest
 
 from ccsplan.domain import (
     DEFAULT_ALPHA,
-    TechKind,
+    Region,
     ValidationError,
     great_circle_km,
     validate_instance,
-    zero_tech,
 )
 
 from conftest import make_unit_instance
@@ -27,12 +26,9 @@ def test_great_circle_zero_for_same_point():
 def _with_second_region(location):
     """The unit instance plus a storage region "S" at `location`."""
     inst = make_unit_instance()
-    inst.regions.append(
-        type(inst.regions[0])(
-            id="S", baseline_emissions=0.0, tech=dict(inst.regions[0].tech),
-            ccs_capacity=1.0, location=location,
-        )
-    )
+    inst.regions.append(Region(id="S", baseline_emissions=0.0, ccs_capacity=1.0, location=location))
+    tech = (inst.g, inst.rp, inst.h, inst.potential)
+    inst.g, inst.rp, inst.h, inst.potential = (np.concatenate([a, a]) for a in tech)
     return inst
 
 
@@ -58,17 +54,15 @@ def test_validate_accepts_unit_instance():
     inst = validate_instance(make_unit_instance())
     assert inst.n == 1
     assert inst.sellers == (0,)
-    assert inst.globals.alpha == DEFAULT_ALPHA
+    np.testing.assert_array_equal(inst.globals.alpha, DEFAULT_ALPHA)
 
 
 def test_validate_is_idempotent():
     once = validate_instance(make_unit_instance())
     twice = validate_instance(once)
-    assert twice.globals.alpha == once.globals.alpha
+    np.testing.assert_array_equal(twice.globals.alpha, once.globals.alpha)
     np.testing.assert_array_equal(twice.globals.cap, once.globals.cap)
-    np.testing.assert_array_equal(
-        twice.regions[0].tech[TechKind.SOLAR].g, once.regions[0].tech[TechKind.SOLAR].g
-    )
+    np.testing.assert_array_equal(twice.g, once.g)
 
 
 def test_validate_reports_series_length():
@@ -96,18 +90,29 @@ def test_validate_collects_multiple_errors():
 
 def test_validate_alpha_only_checked_with_resilience():
     inst = make_unit_instance()
-    inst.globals.alpha = {TechKind.SOLAR: 0.31, TechKind.WIND: 0.68}
+    inst.globals.alpha = np.array([0.31, 0.68])
     # fine: the shares are checked where the mix rule's rows are built (test_builder)
     validate_instance(inst)
 
 
-def test_validate_fills_missing_tech_with_zero_placeholder():
+@pytest.mark.parametrize(
+    "owner, field, value, message",
+    [
+        pytest.param("instance", "g", np.zeros((1, 2, 2)), "g: shape (1, 2, 2) ≠ (1, 2, 1)", id="g"),
+        pytest.param("instance", "h", np.zeros((1, 1)), "h: shape (1, 1) ≠ (1, 2)", id="h"),
+        pytest.param("globals", "sp", np.zeros(1), "globals.sp: shape (1,) ≠ (2, 1)", id="sp"),
+        pytest.param("globals", "sp", {"solar": [2.0], "wind": [0.0]}, "globals.sp: not an array of numbers",
+                     id="sp-dict"),
+        pytest.param("globals", "alpha", np.array([1.0]), "globals.alpha: shape (1,) ≠ (2,)", id="alpha"),
+    ],
+)
+def test_validate_rejects_misshapen_tech_array(owner, field, value, message):
     inst = make_unit_instance()
-    del inst.regions[0].tech[TechKind.WIND]
-    out = validate_instance(inst)
-    wind = out.regions[0].tech[TechKind.WIND]
-    assert wind.potential == 0.0
-    np.testing.assert_array_equal(wind.g, zero_tech(1).g)
+    inst.globals.cp = np.array([-1.0])  # an entry error is not reported past a shape error
+    setattr(inst if owner == "instance" else inst.globals, field, value)
+    with pytest.raises(ValidationError) as exc:
+        validate_instance(inst)
+    assert exc.value.errors == [message]
 
 
 def test_validate_requires_location_without_matrix():

@@ -6,7 +6,6 @@ import pytest
 
 from ccsplan import engine, simplex
 from ccsplan.builder import CCS_CLAMP, COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
-from ccsplan.domain import TechKind
 from ccsplan.engine import (
     LEX_EPS,
     InfeasibleModelError,
@@ -158,7 +157,7 @@ def test_iteration_limit_is_scenario_error(unit_instance, monkeypatch):
 
 def _nan_cost_instance():
     inst = make_unit_instance()
-    inst.regions[0].tech[TechKind.SOLAR].rp = np.array([np.nan])
+    inst.rp[0, 0] = np.nan  # solar
     return inst
 
 
@@ -270,7 +269,7 @@ def test_run_all_starts_cold_after_a_failed_predecessor(toy_instance, monkeypatc
 def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
     # the second grid value assembles scenario 2 from an instance whose mix
     # shares sum to 0.99, so that point fails and the next one starts cold
-    alpha = {TechKind.SOLAR: 0.31, TechKind.WIND: 0.68}
+    alpha = np.array([0.31, 0.68])
     bad = replace(toy_instance, globals=replace(toy_instance.globals, alpha=alpha))
     grid = [10000.0, 26000.0, 42000.0, 58000.0]
     assemble, solve = engine.assemble, engine.solve

@@ -1,5 +1,7 @@
-"""Property test: a mutated copy of toy-nation either loads and validates or
-fails with a typed error, and `ccsplan validate` exits 0 or 1 on it."""
+"""Property tests on mutated copies of toy-nation: a copy with any edit either
+loads and validates or fails with a typed error, and `ccsplan validate` exits
+0 or 1 on it; a copy with valid values only solves, or fails with a
+`ScenarioError`, in every scenario and objective mode."""
 import csv
 import io
 import json
@@ -10,9 +12,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, scenario_config
 from ccsplan.cli import main
 from ccsplan.dataio import DataError, load_validated, toy_nation_path
 from ccsplan.domain import ModelInstance, ValidationError
+from ccsplan.engine import ScenarioError, ScenarioResult, run_scenario
 
 TOY = toy_nation_path()
 CSV_FILES = sorted(str(p.relative_to(TOY)) for p in TOY.rglob("*.csv"))
@@ -123,3 +127,37 @@ def test_mutated_dataset_fails_only_with_a_typed_error(edits):
         except SystemExit as exc:
             code = exc.code
         assert code in (0, 1)
+
+
+def _column(file, name):
+    return _read_csv(TOY / file)[0].index(name)
+
+
+# valid values only: the magnitudes a dataset may hold, tiny and huge included
+valid_values = st.sampled_from([0.0, 1e-9, 1e-3] + [10.0**e for e in range(13)]) | st.floats(0.0, 1e8)
+valid_cells = valid_values.map(repr)
+valid_edits = st.one_of(
+    st.builds(set_cell, st.just("regions.csv"), idx,
+              st.sampled_from([_column("regions.csv", c) for c in ("C0_tonnes", "ccs_capacity_tonnes")]), valid_cells),
+    st.builds(set_cell, st.just("tech.csv"), idx,
+              st.sampled_from([_column("tech.csv", c) for c in ("potential_gw", "h_gwh_per_gw")]), valid_cells),
+    st.builds(set_cell, st.sampled_from(SERIES_FILES), idx, st.just(_column(SERIES_FILES[0], "value")), valid_cells),
+    st.builds(set_json, st.sampled_from([("cp",), ("ccsp",), ("gt",)]), valid_values.map(lambda v: {"constant": v})),
+    st.builds(set_json, st.tuples(st.just("cap"), st.integers(0, len(GLOBALS["cap"]) - 1)), st.none() | valid_values),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(valid_edits, min_size=1, max_size=3), st.integers(1, 4),
+       st.sampled_from([COST_ONLY, MAX_REDUCTION_LEX]))
+def test_valid_dataset_solves_or_fails_with_a_scenario_error(edits, scenario, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "d"
+        shutil.copytree(TOY, data)
+        for edit in edits:
+            edit(data)
+        instance = load_validated(data)
+    try:
+        assert isinstance(run_scenario(instance, scenario_config(scenario, objective_mode=mode)), ScenarioResult)
+    except ScenarioError as exc:
+        assert str(exc)
