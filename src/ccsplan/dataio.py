@@ -44,9 +44,17 @@ class DataError(ValidationError):
 
 
 def _fmt(x) -> str:
-    """Deterministic decimal rendering, rounded at 1e-9."""
-    s = f"{_round9(float(x)):.9f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+    """Deterministic decimal rendering, rounded at 1e-9; never "-0"."""
+    s = f"{x:.9f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
+def _fmt_column(a: np.ndarray) -> np.ndarray:
+    """`_fmt` of each entry of `a`; exact zeros, most cells, skip formatting."""
+    out = np.full(a.shape, "0", dtype=object)
+    nz = a != 0
+    out[nz] = [_fmt(x) for x in a[nz].tolist()]
+    return out
 
 
 def _round9(obj):
@@ -280,9 +288,9 @@ def _write_table(path: Path, columns: dict, keep=None):
     """Write one CSV: a header of the column names, then one line per entry of
     the columns broadcast together, in C order, leaving out the entries where
     `keep` is False. String columns are written as they are, numeric ones
-    through `_fmt`."""
+    through `_fmt_column`."""
     *arrays, mask = np.broadcast_arrays(*columns.values(), True if keep is None else keep)
-    cells = [a[mask] if a.dtype.kind == "U" else map(_fmt, a[mask].tolist()) for a in arrays]
+    cells = [a[mask] if a.dtype.kind == "U" else _fmt_column(a[mask]) for a in arrays]
     _write_lines(path, [",".join(columns), *map(",".join, zip(*cells))])
 
 

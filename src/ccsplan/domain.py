@@ -132,7 +132,11 @@ def great_circle_km(a: tuple, b: tuple) -> float:
 
 
 def _as_series(values, T, path, errors):
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        errors.append(f"{path}: not an array of numbers")
+        return None
     if arr.ndim != 1 or arr.shape[0] != T:
         errors.append(f"{path}: series length {arr.shape[0] if arr.ndim == 1 else arr.shape} ≠ horizon {T}")
         return arr
@@ -157,10 +161,17 @@ def _shaped(values, shape, path, errors):
 
 
 def _check_scalar(value, path, errors):
-    if not math.isfinite(value):
-        errors.append(f"{path}: non-finite value {value!r}")
-    elif value < 0:
-        errors.append(f"{path}: negative value {value!r}")
+    """float(value) (NaN if not a number), recording an error unless finite and >= 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        errors.append(f"{path}: not a number: {value!r}")
+        return math.nan
+    if not math.isfinite(number):
+        errors.append(f"{path}: non-finite value {number!r}")
+    elif number < 0:
+        errors.append(f"{path}: negative value {number!r}")
+    return number
 
 
 def alpha_errors(alpha: np.ndarray) -> list:
@@ -211,10 +222,8 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
     cp = _as_series(gp.cp, T, "globals.cp", errors)
     ccsp = _as_series(gp.ccsp, T, "globals.ccsp", errors)
     gt = _as_series(gp.gt, T, "globals.gt", errors)
-    cap = np.asarray(gp.cap, dtype=float)
-    if cap.shape != (T,):
-        errors.append(f"globals.cap: series length {cap.shape[0] if cap.ndim == 1 else cap.shape} ≠ horizon {T}")
-    elif np.any(np.nan_to_num(cap, nan=-1.0) < 0) or np.any(np.isnan(cap)):
+    cap = _shaped(gp.cap, (T,), "globals.cap", errors)
+    if cap is not None and not np.all(cap >= 0):
         errors.append("globals.cap: negative or NaN value (use +inf for an unbounded year)")
 
     for k, kind in enumerate(TECH_ORDER):
@@ -222,8 +231,8 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
 
     regions = []
     for i, r in enumerate(raw.regions):
-        _check_scalar(r.baseline_emissions, f"regions[{r.id}].baseline_emissions", errors)
-        _check_scalar(r.ccs_capacity, f"regions[{r.id}].ccs_capacity", errors)
+        c0 = _check_scalar(r.baseline_emissions, f"regions[{r.id}].baseline_emissions", errors)
+        ccs_capacity = _check_scalar(r.ccs_capacity, f"regions[{r.id}].ccs_capacity", errors)
         if r.location is not None:
             for name, value, limit in zip(("lat", "lon"), r.location, (90.0, 180.0)):
                 if not abs(value) <= limit:
@@ -232,13 +241,13 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
             path = f"regions[{r.id}].tech[{kind.value}]"
             _as_series(g[i, k], T, f"{path}.g", errors)
             _as_series(rp[i, k], T, f"{path}.rp", errors)
-            _check_scalar(float(h[i, k]), f"{path}.h", errors)
-            _check_scalar(float(potential[i, k]), f"{path}.potential", errors)
+            _check_scalar(h[i, k], f"{path}.h", errors)
+            _check_scalar(potential[i, k], f"{path}.potential", errors)
         regions.append(
             Region(
                 id=r.id,
-                baseline_emissions=float(r.baseline_emissions),
-                ccs_capacity=float(r.ccs_capacity),
+                baseline_emissions=c0,
+                ccs_capacity=ccs_capacity,
                 location=tuple(r.location) if r.location is not None else None,
             )
         )

@@ -53,21 +53,26 @@ STALL_LIMIT = 100  # iterations without a relative 1e-10 improvement before Blan
 
 def _geometric_scaling(A: sp.csr_matrix):
     """Row and column scales from two passes of geometric-mean equilibration."""
-    m, n = A.shape
-    rs = np.ones(m)
-    cs = np.ones(n)
-    coo = A.tocoo()
-    v = absv = np.abs(coo.data)
+    rs, cs = np.ones(A.shape[0]), np.ones(A.shape[1])
+    C = A.tocsc()
     for _ in range(2):
-        nz = v > 0
-        for axis, scale, size in ((coo.row, rs, m), (coo.col, cs, n)):
-            hi = np.zeros(size)
-            lo = np.full(size, np.inf)
-            np.maximum.at(hi, axis[nz], v[nz])
-            np.minimum.at(lo, axis[nz], v[nz])
+        for M, scale in ((A, rs), (C, cs)):  # rows in CSR order, then columns in CSC order
+            count = np.diff(M.indptr)
+            own = np.repeat(np.arange(len(count), dtype=M.indices.dtype), count)
+            row, col = (own, M.indices) if M is A else (M.indices, own)
+            v = np.abs(M.data)
+            v *= rs[row]  # in place, for a small peak; the same floats as |a| * rs * cs
+            v *= cs[col]
+            # reduceat gives an empty row or column the entry at its start,
+            # not the identity, so it runs over the nonempty ones only
+            full = count > 0
+            hi = np.zeros(len(scale))
+            lo = np.full(len(scale), np.inf)
+            hi[full] = np.maximum.reduceat(v, M.indptr[:-1][full])
+            v[~(v > 0)] = np.inf  # explicit zeros take no part in the minimum
+            lo[full] = np.minimum.reduceat(v, M.indptr[:-1][full])
             used = hi > 0
             scale[used] /= np.sqrt(hi[used] * lo[used])
-            v = absv * rs[coo.row] * cs[coo.col]
     return rs, cs
 
 

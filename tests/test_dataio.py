@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsplan.builder import COST_ONLY, DeploymentPlan, scenario_config
 from ccsplan.dataio import (
     DataError,
     _fmt,
+    _fmt_column,
+    _round9,
     load,
     load_validated,
     toy_nation_path,
@@ -135,6 +139,33 @@ def test_fmt_is_stable():
     assert _fmt(0.5) == "0.5"
     assert _fmt(1e-12) == "0"
     assert _fmt(2.0000000004) == "2"
+
+
+def old_cell(x):
+    """A numeric cell's text as bundles have always written it."""
+    return f"{_round9(float(x)):.9f}".rstrip("0").rstrip(".") or "0"
+
+
+cell_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+    # the rounding grid, and its ties at 5e-10
+    st.builds(lambda k, step, offset: k * step + offset, st.integers(-10**12, 10**12),
+              st.sampled_from([1e-9, 1e-10]), st.sampled_from([-5e-10, 0.0, 5e-10])),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 4e-10, -4e-10]),
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(cell_values)
+def test_cell_text_matches_the_old_expression(x):
+    assert _fmt(x) == old_cell(x)
+    assert _fmt_column(np.array([x])).tolist() == [old_cell(x)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), cell_values), max_size=40))
+def test_column_text_matches_the_old_expression(xs):
+    assert _fmt_column(np.array(xs, dtype=float)).tolist() == [old_cell(x) for x in xs]
 
 
 @pytest.fixture

@@ -115,6 +115,24 @@ def test_validate_rejects_misshapen_tech_array(owner, field, value, message):
     assert exc.value.errors == [message]
 
 
+@pytest.mark.parametrize(
+    "owner, field, value, message",
+    [
+        pytest.param("globals", "cp", {"x": 1}, "globals.cp: not an array of numbers", id="cp-dict"),
+        pytest.param("globals", "cap", "abc", "globals.cap: not an array of numbers", id="cap-text"),
+        pytest.param("region", "baseline_emissions", "abc", "regions[R].baseline_emissions: not a number: 'abc'",
+                     id="c0-text"),
+        pytest.param("region", "ccs_capacity", None, "regions[R].ccs_capacity: not a number: None", id="ccs-none"),
+    ],
+)
+def test_validate_names_a_field_that_is_not_a_number(owner, field, value, message):
+    inst = make_unit_instance()
+    setattr(inst.globals if owner == "globals" else inst.regions[0], field, value)
+    with pytest.raises(ValidationError) as exc:
+        validate_instance(inst)
+    assert exc.value.errors == [message]
+
+
 def test_validate_requires_location_without_matrix():
     inst = make_unit_instance()
     inst.regions[0].location = None

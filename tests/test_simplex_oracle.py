@@ -160,6 +160,42 @@ def test_rows_without_nonzeros(monkeypatch):
     assert enumerate_oracle(with_rows((">=", 1.0))).status == Status.INFEASIBLE
 
 
+def scaling_with_ufunc_at(A):
+    """The row and column scales as computed with np.maximum.at and
+    np.minimum.at over the COO entries: the reference for _geometric_scaling."""
+    m, n = A.shape
+    rs = np.ones(m)
+    cs = np.ones(n)
+    coo = A.tocoo()
+    v = absv = np.abs(coo.data)
+    for _ in range(2):
+        nz = v > 0
+        for axis, scale, size in ((coo.row, rs, m), (coo.col, cs, n)):
+            hi = np.zeros(size)
+            lo = np.full(size, np.inf)
+            np.maximum.at(hi, axis[nz], v[nz])
+            np.minimum.at(lo, axis[nz], v[nz])
+            used = hi > 0
+            scale[used] /= np.sqrt(hi[used] * lo[used])
+            v = absv * rs[coo.row] * cs[coo.col]
+    return rs, cs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scaling_matches_the_ufunc_at_reference(seed):
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 30, size=2))
+    dense = np.where(rng.random((m, n)) < 0.3, rng.lognormal(0.0, 4.0, (m, n)) * rng.choice([-1, 1], (m, n)), 0.0)
+    stored = (dense != 0) | (rng.random((m, n)) < 0.1)  # plus explicit zeros
+    stored[rng.random(m) < 0.2] = False  # empty rows
+    stored[:, rng.random(n) < 0.2] = False  # empty columns
+    rows, cols = np.nonzero(stored)
+    A = sp.csr_matrix((dense[rows, cols], cols, np.searchsorted(rows, np.arange(m + 1))), shape=(m, n))
+    assert A.nnz == stored.sum()
+    for got, want in zip(simplex._geometric_scaling(A), scaling_with_ufunc_at(A)):
+        assert np.array_equal(got, want)
+
+
 def warm_lp():
     """Optimum x = (0, 0, 8). The >= row is violated at x = 0, so the cold
     start needs phase 1; x1 and x2 have the same column."""
