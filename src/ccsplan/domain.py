@@ -233,8 +233,11 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
     for i, r in enumerate(raw.regions):
         c0 = _check_scalar(r.baseline_emissions, f"regions[{r.id}].baseline_emissions", errors)
         ccs_capacity = _check_scalar(r.ccs_capacity, f"regions[{r.id}].ccs_capacity", errors)
-        if r.location is not None:
-            for name, value, limit in zip(("lat", "lon"), r.location, (90.0, 180.0)):
+        location = None
+        latlon = None if r.location is None else _shaped(r.location, (2,), f"regions[{r.id}].location", errors)
+        if latlon is not None:
+            location = tuple(latlon.tolist())
+            for name, value, limit in zip(("lat", "lon"), location, (90.0, 180.0)):
                 if not abs(value) <= limit:
                     errors.append(f"regions[{r.id}].location.{name}: {value!r} outside [-{limit:g}, {limit:g}]")
         for k, kind in enumerate(TECH_ORDER):
@@ -248,7 +251,7 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
                 id=r.id,
                 baseline_emissions=c0,
                 ccs_capacity=ccs_capacity,
-                location=tuple(r.location) if r.location is not None else None,
+                location=location,
             )
         )
 
@@ -257,18 +260,16 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
 
     dist = None
     if raw.distances is not None:
-        dist = np.asarray(raw.distances, dtype=float)
         nn = len(raw.regions)
-        if dist.shape != (nn, nn):
-            errors.append(f"distances: shape {dist.shape} ≠ ({nn}, {nn})")
-        else:
+        dist = _shaped(raw.distances, (nn, nn), "distances", errors)
+        if dist is not None:
             for j, i in np.argwhere(~(np.isfinite(dist) & (dist >= 0)))[:1]:  # the first, by region ids
                 errors.append(f"distances[{raw.regions[j].id}][{raw.regions[i].id}]: {dist[j, i]:g} km; "
                               "entries must be finite and >= 0")
             if np.any(np.diag(dist) != 0):
                 errors.append("distances: diagonal must be 0")
     else:
-        for r in regions:
+        for r in raw.regions:
             if r.location is None:
                 errors.append(
                     f"regions[{r.id}].location: missing (required when no explicit distance matrix is given)"

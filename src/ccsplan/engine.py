@@ -12,6 +12,7 @@ from .builder import (
     DeploymentPlan,
     ScenarioConfig,
     assemble,
+    build_objective,
     extract_plan,
     offset_vector,
     scenario_config,
@@ -134,6 +135,14 @@ def run_scenario(
         lp, index = assemble(instance, config)
     except (ValidationError, InvalidProgramError) as exc:
         raise ScenarioError(str(exc)) from exc
+    return _solve_assembled(instance, config, lp, index, start)
+
+
+def _solve_assembled(
+    instance: ModelInstance, config: ScenarioConfig, lp: LinearProgram, index, start: ScenarioResult | None
+) -> ScenarioResult:
+    """Solve and post-process `lp`, the program of `instance` under `config`
+    with its variable index (see `run_scenario`)."""
     start = _carry_basis(start, lp)
     stats = {}
 
@@ -218,9 +227,13 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     """One scenario run per grid value with the parameter's whole series
     replaced by the constant value. Per-point failures never abort the sweep.
 
-    The swept parameters appear only in the objective, so each point starts
-    from the previous successful point's basis (a point after a failure starts
-    cold); the points therefore run serially in grid order."""
+    The swept parameters appear only in the objective. So the program is
+    assembled once, at the first point that assembles, and every later point
+    solves it with its own objective (`build_objective`); the simplex scales
+    the shared rows once. Each point starts from the previous successful
+    point's basis (a point after a failure starts cold), so the points run
+    serially in grid order. Every point gives what `run_scenario` gives on the
+    instance with the series replaced, started from the previous point."""
     if parameter not in PARAMETER_KEYS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {sorted(PARAMETER_KEYS)}")
     grid = [float(v) for v in grid]
@@ -231,14 +244,23 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     key = PARAMETER_KEYS[parameter]
 
     points = []
-    prev = None
+    lp0 = index = prev = None
     for value in grid:
         point = SweepPoint(value=value)
         points.append(point)
         prices = replace(instance.globals, **{key: np.full(instance.T, value)})
+        # the point shares the instance's distance matrix: the same floats,
+        # computed once
+        inst = replace(instance, globals=prices, distances=instance.distance_km)
         try:
-            res = prev = run_scenario(replace(instance, globals=prices), config, prev)
-        except ScenarioError as exc:
+            if lp0 is None:
+                lp0, index = assemble(inst, config)
+                lp = lp0
+            else:
+                lp = replace(lp0, objective=build_objective(inst, index))
+            res = prev = _solve_assembled(inst, config, lp, index, prev)
+        # the solve validates a point's objective
+        except (ScenarioError, ValidationError, InvalidProgramError) as exc:
             point.error = str(exc)
             prev = None
             continue

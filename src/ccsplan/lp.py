@@ -50,7 +50,9 @@ class Row:
 @dataclass(frozen=True, eq=False)
 class Rows:
     """The constraint rows of a program, in row order: `A` (CSR, one row per
-    constraint), `sense`, `rhs` and `names`."""
+    constraint), `sense`, `rhs` and `names`. Rows are never mutated after
+    construction (a program with other rows gets a new `Rows`), so the
+    simplex keeps the standard form it builds per `Rows` object."""
 
     A: sp.csr_matrix
     sense: np.ndarray

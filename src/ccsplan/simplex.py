@@ -32,8 +32,19 @@ made to check it. A given start that needs phase 1 loses to an all-slack
 basis that is already feasible. At an optimum, an artificial still basic (at
 zero) gives its place in the returned basis to its row's slack, so an
 optimal solve always returns a basis to start a later solve from.
+
+What depends on the rows only is built once per `Rows` object and kept as
+long as that object lives (`_standard_form`): the geometric scales, the
+standard form [A_s, diag(slack signs)] with the scaled matrix A_s, and its
+transpose.
+Programs that share their `Rows` (`dataclasses.replace(lp, objective=c)`,
+as a price sweep makes) share that work; only the bounds and the objective
+are scaled per solve. A `Rows` is never mutated after construction, so the
+cached form stays the one its rows would give.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,9 +110,9 @@ def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
-    def __init__(self, A: sp.csc_matrix, b, lb, ub, lu=None):
+    def __init__(self, A: sp.csc_matrix, AT: sp.csr_matrix, b, lb, ub, lu=None):
         self.A = A
-        self.AT = A.T.tocsr()
+        self.AT = AT  # A^T, which prices the pivot rows
         self.b = b
         self.lb = lb
         self.ub = ub
@@ -280,6 +291,29 @@ def _start(A, b, lb, ub, start):
     return A, lb, ub, basis, vstat, x, lu
 
 
+_FORMS = weakref.WeakKeyDictionary()  # Rows -> what _standard_form returns
+
+
+def _standard_form(lp: LinearProgram):
+    """(rs, cs, sign, A, AT) of `lp.rows`: the row and column scales, each
+    slack's coefficient (-1 on a >= row, else 1), the standard form
+    A = [diag(rs) A diag(cs), diag(sign)] (n structural, then m slack
+    columns) and its transpose. Built on the first solve of these rows, then
+    taken from `_FORMS` while they live: `Rows` hashes by identity, and no
+    Rows is mutated after construction."""
+    rows = lp.rows
+    form = _FORMS.get(rows)
+    if form is None:
+        A = lp.matrix()
+        m = A.shape[0]
+        rs, cs = _geometric_scaling(A)
+        As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc()
+        sign = np.where(rows.sense == GE, -1.0, 1.0)
+        A_std = sp.hstack([As, sp.diags(sign, shape=(m, m), format="csc")], format="csc")
+        form = _FORMS[rows] = (rs, cs, sign, A_std, A_std.T.tocsr())
+    return form
+
+
 def solve(lp: LinearProgram, start=None) -> LpSolution:
     """Solve a bounded-variable LP; statuses Optimal/Infeasible/Unbounded or
     IterationLimit, after MAX_ITERS iterations of both phases together.
@@ -302,28 +336,20 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     whose column is the same up to sign."""
     lp.validate()
     n = lp.num_vars
-    A = lp.matrix()
-    m = A.shape[0]
-    b = lp.rhs()
-    sense = lp.rows.sense
-
-    rs, cs = _geometric_scaling(A)
-    As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc()
-    bs = b * rs
+    rs, cs, sign, A_std, AT = _standard_form(lp)
+    m = len(rs)
+    bs = lp.rhs() * rs
     lb = lp.lower / cs
     ub = lp.upper / cs
     c_struct = lp.objective * cs
 
-    sign = np.where(sense == GE, -1.0, 1.0)  # each slack's coefficient
-    slacks = sp.diags(sign, shape=(m, m), format="csc")
-    A_std = sp.hstack([As, slacks], format="csc")
     lb_all = np.concatenate([lb, np.zeros(m)])
-    ub_all = np.concatenate([ub, np.where(sense == EQ, 0.0, np.inf)])
+    ub_all = np.concatenate([ub, np.where(lp.rows.sense == EQ, 0.0, np.inf)])
 
     init = None if start is None else _start(A_std, bs, lb_all, ub_all, start)
     if init is not None and init[0].shape[1] > n + m:
         # the start needs phase 1; the all-slack start wins if it does not
-        s = (bs - As @ lb) * sign
+        s = (bs - A_std @ lb_all) * sign  # the slacks' lower bounds are 0
         if ((s >= -FEAS_TOL) & (s <= ub_all[n:] + FEAS_TOL)).all():
             init = None
     warm_start = init is not None
@@ -332,7 +358,9 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
         init = _start(A_std, bs, lb_all, ub_all, slack_basis)
     A_std, lb_all, ub_all, basis, vstat, x, lu = init
     n_art = A_std.shape[1] - n - m
-    loop = _Loop(A_std, bs, lb_all, ub_all, lu)
+    if n_art:  # the artificials' columns make a new A, and so a new A^T
+        AT = A_std.T.tocsr()
+    loop = _Loop(A_std, AT, bs, lb_all, ub_all, lu)
     del init, lu  # the loop drops the start's LU at its first refactorisation
 
     def finish(status):

@@ -148,3 +148,20 @@ def test_validate_rejects_bad_distance_matrix():
     inst.distances = np.array([[0.0, 1.0]])
     with pytest.raises(ValidationError, match="shape"):
         validate_instance(inst)
+
+
+@pytest.mark.parametrize(
+    "location, distances, message",
+    [
+        pytest.param(("north", 139.0), None, "regions[R].location: not an array of numbers", id="location-text"),
+        pytest.param((35.0,), None, "regions[R].location: shape (1,) ≠ (2,)", id="location-one-element"),
+        pytest.param((0.0, 0.0), [["near"]], "distances: not an array of numbers", id="distances-text"),
+    ],
+)
+def test_validate_names_a_malformed_location_or_distance_matrix(location, distances, message):
+    inst = make_unit_instance()
+    inst.regions[0].location = location
+    inst.distances = distances
+    with pytest.raises(ValidationError) as exc:
+        validate_instance(inst)
+    assert exc.value.errors == [message]

@@ -149,6 +149,52 @@ def test_sweep_point_is_a_run_with_the_series_replaced(toy_instance, parameter, 
         assert p.reduction_pct == pytest.approx(cold.reduction_pct, rel=1e-9)
 
 
+CP16 = np.linspace(10000.0, 250000.0, 16).tolist()  # the CLI's 16-point carbon-price grid
+
+
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX])
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_sweep_is_a_chain_of_scenario_runs(toy_instance, monkeypatch, mode, nonneg):
+    # each point equals run_scenario on the instance with the series
+    # replaced, started from the previous point's result: bit for bit
+    config = scenario_config(1, objective_mode=mode, nonneg_emissions=nonneg)
+    extract, plans = engine.extract_plan, []
+
+    def recorded(sol, index):
+        plans.append(extract(sol, index))
+        return plans[-1]
+
+    monkeypatch.setattr(engine, "extract_plan", recorded)
+    sw = sweep(toy_instance, config, "carbon_price", CP16)
+    monkeypatch.undo()
+    assert len(plans) == len(CP16)
+    prev = None
+    for p, plan in zip(sw.points, plans):
+        res = prev = run_scenario(_with_series(toy_instance, "cp", p.value), config, prev)
+        assert (p.reduction_pct, p.objective_value) == (res.reduction_pct, res.objective_value)
+        for field in ("re_installed", "ccs_local", "ccs_traded"):
+            np.testing.assert_array_equal(getattr(plan, field), getattr(res.plan, field))
+
+
+@pytest.mark.parametrize("mode, scalings", [(COST_ONLY, 1), (MAX_REDUCTION_LEX, 17)])
+def test_sweep_assembles_and_scales_its_rows_once(toy_instance, monkeypatch, mode, scalings):
+    # lex stage 1 solves the shared rows; stage 2 adds a row, so each point
+    # scales its own stage-2 rows
+    calls = {"assemble": 0, "scaling": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "assemble", counted("assemble", engine.assemble))
+    monkeypatch.setattr(simplex, "_geometric_scaling", counted("scaling", simplex._geometric_scaling))
+    sw = sweep(toy_instance, scenario_config(1, objective_mode=mode), "carbon_price", CP16)
+    assert all(p.error is None for p in sw.points)
+    assert calls == {"assemble": 1, "scaling": scalings}
+
+
 def test_iteration_limit_is_scenario_error(unit_instance, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITERS", 0)
     with pytest.raises(ScenarioError, match="solver stopped early: iteration_limit after 0 iterations"):
@@ -267,26 +313,29 @@ def test_run_all_starts_cold_after_a_failed_predecessor(toy_instance, monkeypatc
 
 
 def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
-    # the second grid value assembles scenario 2 from an instance whose mix
-    # shares sum to 0.99, so that point fails and the next one starts cold
-    alpha = np.array([0.31, 0.68])
-    bad = replace(toy_instance, globals=replace(toy_instance.globals, alpha=alpha))
+    # the objective of the second grid value has a NaN, so that point fails
+    # in its solve's validation and the next one starts cold
     grid = [10000.0, 26000.0, 42000.0, 58000.0]
-    assemble, solve = engine.assemble, engine.solve
+    build_objective, solve = engine.build_objective, engine.solve
     warm = []
 
-    def failing_assemble(instance, config):
-        return assemble(bad if instance.globals.cp[0] == grid[1] else instance, config)
+    def failing_objective(instance, index):
+        c = build_objective(instance, index)
+        if instance.globals.cp[0] == grid[1]:
+            c[0] = np.nan
+        return c
 
     def spy(lp, start=None):
+        sol = solve(lp, start)  # raises on the NaN, so only solves that ran are recorded
         warm.append(start is not None)
-        return solve(lp, start)
+        return sol
 
-    monkeypatch.setattr(engine, "assemble", failing_assemble)
+    monkeypatch.setattr(engine, "build_objective", failing_objective)
     monkeypatch.setattr(engine, "solve", spy)
     sw = sweep(toy_instance, scenario_config(2), "carbon_price", grid)
     monkeypatch.undo()
-    assert [p.error for p in sw.points] == [None, "globals.alpha: alpha sums to 0.99", None, None]
+    name = VariableIndex(toy_instance).names[0]
+    assert [p.error for p in sw.points] == [None, f"variable {name!r}: objective coefficient is not finite", None, None]
     assert warm == [False, False, True]
     for p in sw.points[2:]:
         cold = run_scenario(_with_series(toy_instance, "cp", p.value), scenario_config(2))
