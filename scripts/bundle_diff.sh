@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Write the same fourteen CLI output sets from two checkouts and compare them.
+# Write the same fifteen CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. Twelve sets are result bundles; the other two are `ccsplan validate` on
+# seed 1. Thirteen sets are result bundles; the other two are `ccsplan validate` on
 # each dataset, so that the load and validation path is compared too. The sets
 # are written to OUT/parent/<set> and OUT/change/<set>, each with the CLI's
 # stdout and exit code (sets left in OUT by an earlier call are removed first),
@@ -59,6 +59,7 @@ side() {
     run "$root" "$side" sweep-gt3 "$toy" "${SWEEP_GT3[@]}"
     run "$root" "$side" sweep-gt3-floor "$toy" "${SWEEP_GT3[@]}" "$FLOOR"
     run "$root" "$side" bau-cost "$bau" run-all --objective cost
+    run "$root" "$side" bau-cost-floor "$bau" run-all --objective cost "$FLOOR"
     run "$root" "$side" bau-lex "$bau" run-all --objective max-reduction
 }
 

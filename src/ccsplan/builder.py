@@ -15,6 +15,7 @@ Each row family is emitted with numpy as COO triplets straight from the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,7 +61,11 @@ def scenario_config(number: int, **kw) -> ScenarioConfig:
 
 
 class VariableIndex:
-    """Order-stable bijection between decision variables and dense indices."""
+    """Order-stable bijection between decision variables and dense indices.
+
+    It is also the sequence of the variable names (`len` and `index[j]`). The
+    names are built on first use, so a run that reads none of them (every
+    successful solve) never builds them: only error messages and `to_mps` do."""
 
     def __init__(self, instance: ModelInstance):
         n, K, T = instance.n, NUM_TECH, instance.T
@@ -76,6 +81,19 @@ class VariableIndex:
         traded = np.arange(T * nb * ns).reshape(T, nb, ns).transpose(1, 2, 0)
         self.ccs_b[np.ix_(buyers, sellers)] = first_b + traded
         self.num_vars = first_b + T * nb * ns
+        self._instance = instance
+
+    def __len__(self) -> int:
+        return self.num_vars
+
+    def __getitem__(self, j: int) -> str:
+        return self.names[j]
+
+    @cached_property
+    def names(self) -> list:
+        instance = self._instance
+        sellers = np.array(instance.sellers, dtype=int)
+        buyers = np.array(instance.buyers, dtype=int)
         # names are built per block as a small prefix array plus the year
         # suffix, so that only the last concatenation spans the whole block
         year = "][" + np.array(instance.horizon.years).astype(str)[:, None, None] + "]"
@@ -86,7 +104,7 @@ class VariableIndex:
             "CCSs[" + ids[sellers] + year[:, 0],  # (t, seller)
             "CCSb[" + ids[buyers][:, None] + "][" + ids[sellers] + year,  # (t, buyer, seller)
         )
-        self.names = np.concatenate([a.ravel() for a in names]).tolist()
+        return np.concatenate([a.ravel() for a in names]).tolist()
 
 
 @dataclass
@@ -132,10 +150,9 @@ def _year_and_region(index: VariableIndex):
     t_of = np.empty(index.num_vars, dtype=int)
     i_of = np.empty(index.num_vars, dtype=int)
     for block in (index.re, index.ccs_s, index.ccs_b):
-        used = block >= 0
-        grid = np.indices(block.shape)
-        t_of[block[used]] = grid[-1][used]
-        i_of[block[used]] = grid[0][used]
+        at = np.nonzero(block >= 0)  # (region, ..., year) of each used entry
+        t_of[block[at]] = at[-1]
+        i_of[block[at]] = at[0]
     return t_of, i_of
 
 
@@ -231,7 +248,7 @@ def assemble(instance: ModelInstance, config: ScenarioConfig):
         rows=build_constraints(instance, config, index),
         lower=np.zeros(index.num_vars),
         upper=upper,
-        var_names=index.names,
+        var_names=index,
     ).validate()
     return lp, index
 
@@ -243,9 +260,14 @@ def extract_plan(solution: LpSolution, index: VariableIndex) -> DeploymentPlan:
     x = solution.x
 
     def pick(idx, clamp):
-        vals = np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0)
-        small = (np.abs(vals) < clamp) & (vals != 0.0)
-        return np.where(np.abs(vals) < clamp, 0.0, vals), int(small.sum())
+        used = idx >= 0
+        picked = x[idx[used]]
+        small = np.abs(picked) < clamp
+        clamped = np.count_nonzero(picked[small])
+        picked[small] = 0.0
+        vals = np.zeros(idx.shape)
+        vals[used] = picked
+        return vals, clamped
 
     re_vals, c1 = pick(index.re, RE_CLAMP)
     ccs_s, c2 = pick(index.ccs_s, CCS_CLAMP)

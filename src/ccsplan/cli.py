@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -86,6 +87,16 @@ def _load(parser, args):
         raise SystemExit(1)
 
 
+def _check_out(args):
+    """Exit 1 before any solve when --out cannot become a directory: it, or
+    its nearest existing ancestor, is not a directory."""
+    path = Path(args.out).absolute()
+    blocker = next(p for p in (path, *path.parents) if p.exists())
+    if not blocker.is_dir():
+        print(f"error: --out {args.out}: {blocker} is not a directory", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _summary_line(summary):
     payback = summary["payback_year"]
     return (
@@ -109,6 +120,7 @@ def cmd_validate(parser, args) -> int:
 
 
 def cmd_solve(parser, args) -> int:
+    _check_out(args)
     instance = _load(parser, args)
     config = scenario_config(
         args.scenario,
@@ -126,6 +138,7 @@ def cmd_solve(parser, args) -> int:
 
 
 def cmd_run_all(parser, args) -> int:
+    _check_out(args)
     instance = _load(parser, args)
     outcomes = engine.run_all(
         instance,
@@ -150,6 +163,7 @@ def cmd_sweep(parser, args) -> int:
         parser.error(f"--from {args.lo} exceeds --to {args.hi}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
+    _check_out(args)
     instance = _load(parser, args)
     config = scenario_config(
         args.scenario,

@@ -11,6 +11,7 @@ per-row view that iterating `LinearProgram.rows` builds on demand.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,7 +103,9 @@ class LinearProgram:
     rows: Rows  # a list of Row is stacked into Rows on construction
     lower: np.ndarray
     upper: np.ndarray
-    var_names: list | None = None
+    # any sequence of num_vars names (a list, or the builder's VariableIndex,
+    # which builds them on first use); None names variable j "x{j}"
+    var_names: Sequence[str] | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -117,6 +120,8 @@ class LinearProgram:
         n, rows = self.num_vars, self.rows
         if any(a.shape != (n,) for a in (self.objective, self.lower, self.upper)) or rows.A.shape[1] != n:
             raise InvalidProgramError("objective/bounds/matrix length mismatch with num_vars")
+        if self.var_names is not None and len(self.var_names) != n:
+            raise InvalidProgramError(f"var_names has {len(self.var_names)} names, expected num_vars = {n}")
         for what, bad in (
             ("objective coefficient is not finite", ~np.isfinite(self.objective)),
             ("lower bound is not finite", ~np.isfinite(self.lower)),

@@ -3,11 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from ccsplan.builder import (
+    CCS_CLAMP,
     COST_ONLY,
     EQUAL_YEARLY,
+    RE_CLAMP,
     TOTAL_ONLY,
     ScenarioConfig,
     VariableIndex,
+    _year_and_region,
     assemble,
     build_objective,
     extract_plan,
@@ -53,9 +56,12 @@ def test_variable_count_formula(toy_instance):
     # block layout: all RE variables first, ordered by year
     assert index.re[0, 0, 0] == 0
     assert index.ccs_s[inst.sellers[0], 0] == n * 2 * T
+    # the index is the sequence of the names, built on first use
+    assert len(index) == index.num_vars and "names" not in vars(index)
     names = index.names
     assert names[0].startswith("RE[aster][solar][2018]")
     assert all(names)
+    assert index.names is names and list(index) == names
 
 
 def test_small_bipartite_count():
@@ -164,6 +170,57 @@ def test_extract_plan_clamps_and_guards():
     bad = LpSolution(Status.INFEASIBLE, sol.x, 0.0, 0, 0.0)
     with pytest.raises(ValueError, match="infeasible"):
         extract_plan(bad, index)
+
+
+def dense_year_and_region(index):
+    """Year and region of every variable read off full np.indices grids: the
+    reference for _year_and_region."""
+    t_of = np.empty(index.num_vars, dtype=int)
+    i_of = np.empty(index.num_vars, dtype=int)
+    for block in (index.re, index.ccs_s, index.ccs_b):
+        used = block >= 0
+        grid = np.indices(block.shape)
+        t_of[block[used]] = grid[-1][used]
+        i_of[block[used]] = grid[0][used]
+    return t_of, i_of
+
+
+def dense_extract_plan(x, index):
+    """The plan arrays and clamp count through dense np.where temporaries:
+    the reference for extract_plan."""
+    def pick(idx, clamp):
+        vals = np.where(idx >= 0, x[np.maximum(idx, 0)], 0.0)
+        small = (np.abs(vals) < clamp) & (vals != 0.0)
+        return np.where(np.abs(vals) < clamp, 0.0, vals), int(small.sum())
+
+    picked = [pick(index.re, RE_CLAMP), pick(index.ccs_s, CCS_CLAMP), pick(index.ccs_b, CCS_CLAMP)]
+    return [vals for vals, _ in picked], sum(count for _, count in picked)
+
+
+@pytest.fixture(params=["toy", "trade"])
+def any_instance(request):
+    return request.getfixturevalue("toy_instance") if request.param == "toy" else make_trade_instance()
+
+
+def test_year_and_region_match_the_dense_reference(any_instance):
+    index = VariableIndex(any_instance)
+    for got, want in zip(_year_and_region(index), dense_year_and_region(index)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extract_plan_matches_the_dense_reference(any_instance, seed):
+    index = VariableIndex(any_instance)
+    rng = np.random.default_rng(seed)
+    # exact and signed zeros, values under either clamp, and large values
+    levels = np.array([0.0, -0.0, 1e-12, -1e-12, 5e-7, -5e-7, 2e-6, 3.5, -3.5])
+    x = rng.choice(levels, index.num_vars) * rng.uniform(0.5, 1.5, index.num_vars)
+    plan = extract_plan(LpSolution(Status.OPTIMAL, x, 0.0, 0, 0.0), index)
+    arrays, clamped = dense_extract_plan(x, index)
+    assert plan.clamped == clamped
+    for got, want in zip((plan.re_installed, plan.ccs_local, plan.ccs_traded), arrays):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])

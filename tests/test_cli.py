@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from ccsplan import engine
 from ccsplan.cli import main
 from ccsplan.dataio import DataError, load_validated, toy_nation_path
 from ccsplan.domain import ValidationError
@@ -296,6 +297,29 @@ def test_overflowing_cost_is_solve_failure(tmp_path, capsys):
         code = main(["solve", "--data", str(tmp_path), "--scenario", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "objective coefficient is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--scenario", "1"],
+    ["run-all"],
+    ["sweep", "--scenario", "1", "--param", "carbon-price", "--from", "0", "--to", "1", "--steps", "2"],
+])
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch, command, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / under) if under else str(afile)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite an unusable --out")
+
+    for name in ("run_scenario", "run_all", "sweep"):
+        monkeypatch.setattr(engine, name, no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--data", DATA, "--out", out])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept\n"
 
 
 def test_run_all_writes_four_bundles(tmp_path, capsys):

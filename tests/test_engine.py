@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -193,6 +194,34 @@ def test_sweep_assembles_and_scales_its_rows_once(toy_instance, monkeypatch, mod
     sw = sweep(toy_instance, scenario_config(1, objective_mode=mode), "carbon_price", CP16)
     assert all(p.error is None for p in sw.points)
     assert calls == {"assemble": 1, "scaling": scalings}
+
+
+@pytest.fixture
+def built_names(monkeypatch):
+    """The `VariableIndex` objects whose names are built while the test runs."""
+    built, names = [], VariableIndex.names
+
+    def spy(index):
+        built.append(index)
+        return names.func(index)
+
+    monkeypatch.setattr(VariableIndex, "names", property(spy))
+    return built
+
+
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX])
+def test_successful_runs_never_build_variable_names(toy_instance, built_names, mode):
+    outcomes = run_all(toy_instance, objective_mode=mode)
+    sw = sweep(toy_instance, scenario_config(1, objective_mode=mode), "carbon_price", CP16)
+    assert all(isinstance(res, ScenarioResult) for res in outcomes.values())
+    assert all(p.error is None for p in sw.points)
+    assert built_names == []
+
+
+def test_a_named_error_builds_the_variable_names(built_names):
+    with pytest.raises(ScenarioError, match=re.escape("variable 'RE[R][solar][2018]': objective coefficient")):
+        run_scenario(_nan_cost_instance(), scenario_config(1))
+    assert len(built_names) == 1
 
 
 def test_iteration_limit_is_scenario_error(unit_instance, monkeypatch):

@@ -98,6 +98,8 @@ def test_mps_sanitises_row_names():
         ("lower", np.nan, "variable 'a': lower bound is not finite"),
         ("val", np.nan, "row 'sum': coefficient or rhs is not finite"),
         ("rhs", -np.inf, "row 'sum': coefficient or rhs is not finite"),
+        # too few names: the NaN objective at 1 would have none to report
+        ("var_names", ["a"], "var_names has 1 names, expected num_vars = 2"),
     ],
 )
 def test_validate_rejects_non_finite_data(field, value, message):
@@ -105,6 +107,9 @@ def test_validate_rejects_non_finite_data(field, value, message):
         lp = small_lp(val=np.array([value, 1.0]))
     elif field == "rhs":
         lp = small_lp(rhs=value)
+    elif field == "var_names":
+        lp = small_lp()
+        lp.var_names, lp.objective[1] = value, np.nan
     else:
         lp = small_lp()
         getattr(lp, field)[0] = value
