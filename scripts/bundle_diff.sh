@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Write the same fifteen CLI output sets from two checkouts and compare them.
+# Write the same seventeen CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. Thirteen sets are result bundles; the other two are `ccsplan validate` on
-# each dataset, so that the load and validation path is compared too. The sets
-# are written to OUT/parent/<set> and OUT/change/<set>, each with the CLI's
-# stdout and exit code (sets left in OUT by an earlier call are removed first),
-# then compared with `diff -rq`.
+# seed 1. Fourteen sets are result bundles (one `solve`, the others `run-all` and
+# `sweep`); two are `ccsplan validate` on each dataset, so that the load and
+# validation path is compared too; one is `ccsplan report` of the `solve`
+# bundle. The sets are written to OUT/parent/<set> and OUT/change/<set>, each
+# with the CLI's stdout, stderr and exit code (sets left in OUT by an earlier
+# call are removed first), then compared with `diff -rq`.
 # Exit status: 0 when every file is byte-identical, 1 when some differ.
 set -euo pipefail
 
@@ -25,16 +26,17 @@ SWEEP_CP16=(sweep --scenario 1 --param carbon-price --from 10000 --to 250000 --s
 SWEEP_GT3=(sweep --scenario 2 --param transport-cost --from 0 --to 60 --steps 3)
 FLOOR=--ccs-nonneg-emissions
 
-# run ROOT SIDE SET DATA ARGS...: one CLI call of ROOT's program into OUT/SIDE/SET
+# run ROOT SIDE SET ARGS...: one CLI call of ROOT's program into OUT/SIDE/SET; a
+# solving command writes its bundle to OUT/SIDE/SET/bundle
 run() {
-    local root=$1 side=$2 set=$3 data=$4
-    shift 4
+    local root=$1 side=$2 set=$3
+    shift 3
     local dir="$OUT/$side/$set"
     mkdir -p "$dir"
-    local code=0 out=(--out "$dir/bundle")
-    if [ "$1" = validate ]; then out=(); fi  # validate writes no bundle
+    local code=0 out=()
+    case $1 in solve | run-all | sweep) out=(--out "$dir/bundle") ;; esac
     PYTHONPATH="$root/src" PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
-        python3 -m ccsplan.cli "$@" --data "$data" "${out[@]}" >"$dir/stdout.txt" || code=$?
+        python3 -m ccsplan.cli "$@" "${out[@]}" >"$dir/stdout.txt" 2>"$dir/stderr.txt" || code=$?
     echo "$code" >"$dir/exit_code.txt"
 }
 
@@ -46,21 +48,23 @@ side() {
     PYTHONDONTWRITEBYTECODE=1 python3 -c \
         'import sys; sys.path.insert(0, sys.argv[1]); import gen_bau; gen_bau.generate(sys.argv[2], sys.argv[3], 1)' \
         "$root/perfbench" "$toy" "$bau"
-    run "$root" "$side" validate-toy "$toy" validate
-    run "$root" "$side" validate-bau "$bau" validate
-    run "$root" "$side" runall-cost "$toy" run-all --objective cost
-    run "$root" "$side" runall-cost-floor "$toy" run-all --objective cost "$FLOOR"
-    run "$root" "$side" runall-lex "$toy" run-all --objective max-reduction
-    run "$root" "$side" runall-lex-floor "$toy" run-all --objective max-reduction "$FLOOR"
-    run "$root" "$side" sweep-cp16 "$toy" "${SWEEP_CP16[@]}"
-    run "$root" "$side" sweep-cp16-floor "$toy" "${SWEEP_CP16[@]}" "$FLOOR"
-    run "$root" "$side" sweep-cp16-lex "$toy" "${SWEEP_CP16[@]}" --objective max-reduction
-    run "$root" "$side" sweep-cp16-lex-floor "$toy" "${SWEEP_CP16[@]}" --objective max-reduction "$FLOOR"
-    run "$root" "$side" sweep-gt3 "$toy" "${SWEEP_GT3[@]}"
-    run "$root" "$side" sweep-gt3-floor "$toy" "${SWEEP_GT3[@]}" "$FLOOR"
-    run "$root" "$side" bau-cost "$bau" run-all --objective cost
-    run "$root" "$side" bau-cost-floor "$bau" run-all --objective cost "$FLOOR"
-    run "$root" "$side" bau-lex "$bau" run-all --objective max-reduction
+    run "$root" "$side" validate-toy validate --data "$toy"
+    run "$root" "$side" validate-bau validate --data "$bau"
+    run "$root" "$side" solve-s4-cost-floor solve --data "$toy" --scenario 4 --objective cost "$FLOOR"
+    run "$root" "$side" report-s4-cost-floor report --results "$OUT/$side/solve-s4-cost-floor/bundle"
+    run "$root" "$side" runall-cost run-all --data "$toy" --objective cost
+    run "$root" "$side" runall-cost-floor run-all --data "$toy" --objective cost "$FLOOR"
+    run "$root" "$side" runall-lex run-all --data "$toy" --objective max-reduction
+    run "$root" "$side" runall-lex-floor run-all --data "$toy" --objective max-reduction "$FLOOR"
+    run "$root" "$side" sweep-cp16 "${SWEEP_CP16[@]}" --data "$toy"
+    run "$root" "$side" sweep-cp16-floor "${SWEEP_CP16[@]}" --data "$toy" "$FLOOR"
+    run "$root" "$side" sweep-cp16-lex "${SWEEP_CP16[@]}" --data "$toy" --objective max-reduction
+    run "$root" "$side" sweep-cp16-lex-floor "${SWEEP_CP16[@]}" --data "$toy" --objective max-reduction "$FLOOR"
+    run "$root" "$side" sweep-gt3 "${SWEEP_GT3[@]}" --data "$toy"
+    run "$root" "$side" sweep-gt3-floor "${SWEEP_GT3[@]}" --data "$toy" "$FLOOR"
+    run "$root" "$side" bau-cost run-all --data "$bau" --objective cost
+    run "$root" "$side" bau-cost-floor run-all --data "$bau" --objective cost "$FLOOR"
+    run "$root" "$side" bau-lex run-all --data "$bau" --objective max-reduction
 }
 
 side "$1" parent

@@ -249,7 +249,7 @@ def assemble(instance: ModelInstance, config: ScenarioConfig):
         lower=np.zeros(index.num_vars),
         upper=upper,
         var_names=index,
-    ).validate()
+    )
     return lp, index
 
 

@@ -1,6 +1,6 @@
 """Command-line front end: load -> validate -> solve -> analyze -> report.
 
-Exit codes: 0 success, 1 validation or solve failure, 2 usage error.
+Exit codes: 0 success, 1 failure (validation, solve, bundle I/O), 2 usage error.
 The CCSPLAN_DATA environment variable supplies a default --data directory.
 """
 from __future__ import annotations
@@ -26,14 +26,26 @@ SWEEP_PARAMS = {
 }
 
 
-def _add_data_arg(p):
+def _add_command(sub, name, handler, help, scenario=False, objective=None):
+    """Add subcommand `name`, run by `handler`, with the arguments it shares
+    with other commands: --data; --scenario when `scenario`; and, on a solving
+    command (one given the default `objective`), --objective,
+    --ccs-nonneg-emissions and --out."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
     default = os.environ.get("CCSPLAN_DATA")
-    p.add_argument(
-        "--data",
-        default=default,
-        required=default is None,
-        help="dataset directory (default: $CCSPLAN_DATA)",
-    )
+    p.add_argument("--data", default=default, required=default is None,
+                   help="dataset directory (default: $CCSPLAN_DATA)")
+    if scenario:
+        p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True,
+                       help="scenario regime: 1/3 equal-yearly vs total-only CCS limits, 2/4 add the mix rule")
+    if objective is not None:
+        p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default=objective,
+                       help="cost: minimise net cost only; max-reduction: maximise offset, then minimise cost")
+        p.add_argument("--ccs-nonneg-emissions", action="store_true",
+                       help="add per-region floors keeping emissions non-negative")
+        p.add_argument("--out", required=True, help="output bundle directory (run-all: parent of s1/ .. s4/)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,38 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-region solar/wind/CCS deployment planning by linear programming.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_command(sub, "validate", cmd_validate, "check a dataset against the data contract")
+    _add_command(sub, "solve", cmd_solve, "solve one scenario and write a result bundle",
+                 scenario=True, objective="max-reduction")
+    _add_command(sub, "run-all", cmd_run_all, "solve scenarios 1-4 and write one bundle each",
+                 objective="max-reduction")
 
-    p = sub.add_parser("validate", help="check a dataset against the data contract")
-    _add_data_arg(p)
-
-    p = sub.add_parser("solve", help="solve one scenario and write a result bundle")
-    _add_data_arg(p)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True,
-                   help="scenario regime: 1/3 equal-yearly vs total-only CCS limits, 2/4 add the mix rule")
-    p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default="max-reduction",
-                   help="cost: minimise net cost only; max-reduction: maximise offset, then minimise cost")
-    p.add_argument("--ccs-nonneg-emissions", action="store_true",
-                   help="add per-region floors keeping emissions non-negative")
-    p.add_argument("--out", required=True, help="output bundle directory")
-
-    p = sub.add_parser("run-all", help="solve scenarios 1-4 and write one bundle each")
-    _add_data_arg(p)
-    p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default="max-reduction")
-    p.add_argument("--ccs-nonneg-emissions", action="store_true")
-    p.add_argument("--out", required=True, help="parent directory for s1/ .. s4/ bundles")
-
-    p = sub.add_parser("sweep", help="re-solve one scenario over a price grid")
-    _add_data_arg(p)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
+    p = _add_command(sub, "sweep", cmd_sweep, "re-solve one scenario over a price grid", scenario=True, objective="cost")
     p.add_argument("--param", choices=sorted(SWEEP_PARAMS), required=True)
     p.add_argument("--from", dest="lo", type=float, required=True, help="grid start [yen/t or yen/(t km)]")
     p.add_argument("--to", dest="hi", type=float, required=True, help="grid end")
     p.add_argument("--steps", type=int, required=True, help="number of grid points (>= 1)")
-    p.add_argument("--objective", choices=sorted(OBJECTIVE_MODES), default="cost")
-    p.add_argument("--ccs-nonneg-emissions", action="store_true")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="print the summary of a written result bundle")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("--results", required=True, help="result bundle directory")
     return parser
 
@@ -87,14 +81,22 @@ def _load(parser, args):
         raise SystemExit(1)
 
 
-def _check_out(args):
-    """Exit 1 before any solve when --out cannot become a directory: it, or
-    its nearest existing ancestor, is not a directory."""
-    path = Path(args.out).absolute()
-    blocker = next(p for p in (path, *path.parents) if p.exists())
-    if not blocker.is_dir():
-        print(f"error: --out {args.out}: {blocker} is not a directory", file=sys.stderr)
-        raise SystemExit(1)
+def _check_out(args, *bundle_dirs):
+    """Exit 1 before any solve when one of the bundle directories under --out
+    cannot become a directory: it, or its nearest existing ancestor, is not a
+    directory."""
+    for bundle_dir in bundle_dirs:
+        path = Path(bundle_dir).absolute()
+        blocker = next(p for p in (path, *path.parents) if p.exists())
+        if not blocker.is_dir():
+            print(f"error: --out {args.out}: {blocker} is not a directory", file=sys.stderr)
+            raise SystemExit(1)
+
+
+def _config(args):
+    """The config of --scenario under --objective and --ccs-nonneg-emissions."""
+    return scenario_config(args.scenario, objective_mode=OBJECTIVE_MODES[args.objective],
+                           nonneg_emissions=args.ccs_nonneg_emissions)
 
 
 def _summary_line(summary):
@@ -119,41 +121,35 @@ def cmd_validate(parser, args) -> int:
     return 0
 
 
-def cmd_solve(parser, args) -> int:
-    _check_out(args)
-    instance = _load(parser, args)
-    config = scenario_config(
-        args.scenario,
-        objective_mode=OBJECTIVE_MODES[args.objective],
-        nonneg_emissions=args.ccs_nonneg_emissions,
-    )
-    try:
-        result = engine.run_scenario(instance, config)
-    except ScenarioError as exc:
-        print(f"scenario {args.scenario}: {exc}", file=sys.stderr)
-        return 1
-    summary = dataio.write_results(result, args.out, scenario_id=args.scenario)
-    print(_summary_line(summary))
-    return 0
-
-
-def cmd_run_all(parser, args) -> int:
-    _check_out(args)
-    instance = _load(parser, args)
-    outcomes = engine.run_all(
-        instance,
-        objective_mode=OBJECTIVE_MODES[args.objective],
-        nonneg_emissions=args.ccs_nonneg_emissions,
-    )
+def _write_outcomes(outcomes, bundle_dirs) -> int:
+    """Per scenario id in `outcomes`: a ScenarioResult's bundle into `bundle_dirs[sid]`
+    plus its summary line, or a ScenarioError's message; 1 if any scenario failed."""
     failed = False
     for sid, outcome in sorted(outcomes.items()):
         if isinstance(outcome, ScenarioError):
             print(f"scenario {sid}: {outcome}", file=sys.stderr)
             failed = True
-            continue
-        summary = dataio.write_results(outcome, os.path.join(args.out, f"s{sid}"), scenario_id=sid)
-        print(_summary_line(summary))
+        else:
+            print(_summary_line(dataio.write_results(outcome, bundle_dirs[sid], scenario_id=sid)))
     return 1 if failed else 0
+
+
+def cmd_solve(parser, args) -> int:
+    _check_out(args, args.out)
+    instance = _load(parser, args)
+    try:
+        outcome = engine.run_scenario(instance, _config(args))
+    except ScenarioError as exc:
+        outcome = exc
+    return _write_outcomes({args.scenario: outcome}, {args.scenario: args.out})
+
+
+def cmd_run_all(parser, args) -> int:
+    bundle_dirs = {sid: os.path.join(args.out, f"s{sid}") for sid in (1, 2, 3, 4)}
+    _check_out(args, *bundle_dirs.values())
+    instance = _load(parser, args)
+    outcomes = engine.run_all(instance, OBJECTIVE_MODES[args.objective], args.ccs_nonneg_emissions)
+    return _write_outcomes(outcomes, bundle_dirs)
 
 
 def cmd_sweep(parser, args) -> int:
@@ -163,16 +159,11 @@ def cmd_sweep(parser, args) -> int:
         parser.error(f"--from {args.lo} exceeds --to {args.hi}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    _check_out(args)
+    _check_out(args, args.out)
     instance = _load(parser, args)
-    config = scenario_config(
-        args.scenario,
-        objective_mode=OBJECTIVE_MODES[args.objective],
-        nonneg_emissions=args.ccs_nonneg_emissions,
-    )
-    grid = np.linspace(args.lo, args.hi, args.steps) if args.steps > 1 else np.array([args.lo])
+    grid = np.linspace(args.lo, args.hi, args.steps).tolist()
     try:
-        result = engine.sweep(instance, config, SWEEP_PARAMS[args.param], grid.tolist())
+        result = engine.sweep(instance, _config(args), SWEEP_PARAMS[args.param], grid)
     except ValueError as exc:
         parser.error(str(exc))
     dataio.write_sweep(result, args.out, args.scenario)
@@ -212,14 +203,11 @@ def cmd_report(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "solve": cmd_solve,
-        "run-all": cmd_run_all,
-        "sweep": cmd_sweep,
-        "report": cmd_report,
-    }
-    return handlers[args.command](parser, args)
+    try:
+        return args.handler(parser, args)
+    except OSError as exc:  # a bundle that cannot be written or read
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

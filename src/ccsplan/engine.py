@@ -133,9 +133,9 @@ def run_scenario(
     """
     try:
         lp, index = assemble(instance, config)
-    except (ValidationError, InvalidProgramError) as exc:
+        return _solve_assembled(instance, config, lp, index, start)
+    except (ValidationError, InvalidProgramError) as exc:  # the solve validates each program
         raise ScenarioError(str(exc)) from exc
-    return _solve_assembled(instance, config, lp, index, start)
 
 
 def _solve_assembled(

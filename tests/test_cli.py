@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -6,7 +7,7 @@ import shutil
 import pytest
 
 from ccsplan import engine
-from ccsplan.cli import main
+from ccsplan.cli import build_parser, main
 from ccsplan.dataio import DataError, load_validated, toy_nation_path
 from ccsplan.domain import ValidationError
 
@@ -299,11 +300,14 @@ def test_overflowing_cost_is_solve_failure(tmp_path, capsys):
     assert "objective coefficient is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["solve", "--scenario", "1"],
-    ["run-all"],
-    ["sweep", "--scenario", "1", "--param", "carbon-price", "--from", "0", "--to", "1", "--steps", "2"],
-])
+SOLVING_COMMANDS = {
+    "solve": ["solve", "--scenario", "1"],
+    "run-all": ["run-all"],
+    "sweep": ["sweep", "--scenario", "1", "--param", "carbon-price", "--from", "0", "--to", "1", "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SOLVING_COMMANDS.values()))
 @pytest.mark.parametrize("under", ["", "sub"])
 def test_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch, command, under):
     afile = tmp_path / "afile"
@@ -320,6 +324,59 @@ def test_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch
     assert exc.value.code == 1
     assert capsys.readouterr().err == f"error: --out {out}: {afile} is not a directory\n"
     assert afile.read_text() == "kept\n"
+    if command == ["run-all"]:  # a scenario's bundle directory under a usable --out
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "s2").write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--data", DATA, "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {out / 's2'} is not a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == ["s2"]
+
+
+def _mkdir(path):
+    path.mkdir(parents=True)
+
+
+def _touch(path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("kept\n")
+
+
+@pytest.mark.parametrize("argv, blocked, make", [
+    pytest.param(["solve", "--data", DATA, "--scenario", "1", "--objective", "cost", "--out", "{d}"],
+                 "plotdata", _touch, id="solve-plotdata-file"),
+    pytest.param(["solve", "--data", DATA, "--scenario", "1", "--objective", "cost", "--out", "{d}"],
+                 "summary.json", _mkdir, id="solve-summary-dir"),
+    pytest.param(["sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price",
+                  "--from", "10000", "--to", "10000", "--steps", "1", "--out", "{d}"],
+                 "sweep.csv", _mkdir, id="sweep-csv-dir"),
+    pytest.param(["report", "--results", "{d}"], "summary.json", _mkdir, id="report-summary-dir"),
+])
+def test_blocked_bundle_file_is_one_error_line(tmp_path, capsys, argv, blocked, make):
+    make(tmp_path / "b" / blocked)
+    assert main([a.replace("{d}", str(tmp_path / "b")) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / "b" / blocked) in err
+
+
+def test_solving_commands_share_their_arguments():
+    # each subcommand owns its arguments, so one command's defaults leave the others' alone
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    shared = ("--data", "--objective", "--ccs-nonneg-emissions", "--out")
+    helps = [
+        {opt: (a.help, a.choices) for a in commands[name]._actions for opt in a.option_strings if opt in shared}
+        for name in SOLVING_COMMANDS
+    ]
+    assert sorted(helps[0]) == sorted(shared) and helps[0] == helps[1] == helps[2]
+    assert commands["solve"]._option_string_actions["--scenario"].help == \
+        commands["sweep"]._option_string_actions["--scenario"].help
+    objectives = {name: parser.parse_args([*argv, "--data", DATA, "--out", "o"]).objective
+                  for name, argv in SOLVING_COMMANDS.items()}
+    assert objectives == {"solve": "max-reduction", "run-all": "max-reduction", "sweep": "cost"}
 
 
 def test_run_all_writes_four_bundles(tmp_path, capsys):

@@ -236,9 +236,11 @@ def _nan_cost_instance():
     return inst
 
 
-def test_nan_in_program_is_scenario_error():
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX])
+def test_nan_in_program_is_scenario_error(mode):
+    # in max-reduction mode only the stage-2 program carries the cost objective
     with pytest.raises(ScenarioError, match="objective coefficient is not finite"):
-        run_scenario(_nan_cost_instance(), scenario_config(1))
+        run_scenario(_nan_cost_instance(), scenario_config(1, objective_mode=mode))
 
 
 def test_nan_in_program_is_recorded_per_sweep_point():
