@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Write the same seventeen CLI output sets from two checkouts and compare them.
+# Write the same eighteen CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. Fourteen sets are result bundles (one `solve`, the others `run-all` and
-# `sweep`); two are `ccsplan validate` on each dataset, so that the load and
-# validation path is compared too; one is `ccsplan report` of the `solve`
-# bundle. The sets are written to OUT/parent/<set> and OUT/change/<set>, each
-# with the CLI's stdout, stderr and exit code (sets left in OUT by an earlier
-# call are removed first), then compared with `diff -rq`.
+# seed 1. Fifteen sets are result bundles (one `solve`, the others `run-all` and
+# `sweep`, among them a carbon-price sweep whose highest prices overflow the
+# objective, so that failed points are compared too); two are `ccsplan
+# validate` on each dataset, so that the load and validation path is compared
+# too; one is `ccsplan report` of the `solve` bundle. The sets are written to
+# OUT/parent/<set> and OUT/change/<set>, each with the CLI's stdout, stderr and
+# exit code (sets left in OUT by an earlier call are removed first), then
+# compared with `diff -rq`.
 # Exit status: 0 when every file is byte-identical, 1 when some differ.
 set -euo pipefail
 
@@ -24,6 +26,7 @@ rm -rf "$OUT/parent" "$OUT/change" "$OUT/data"
 
 SWEEP_CP16=(sweep --scenario 1 --param carbon-price --from 10000 --to 250000 --steps 16)
 SWEEP_GT3=(sweep --scenario 2 --param transport-cost --from 0 --to 60 --steps 3)
+SWEEP_CP_OVERFLOW=(sweep --scenario 1 --param carbon-price --from 10000 --to 1e308 --steps 4)
 FLOOR=--ccs-nonneg-emissions
 
 # run ROOT SIDE SET ARGS...: one CLI call of ROOT's program into OUT/SIDE/SET; a
@@ -62,6 +65,7 @@ side() {
     run "$root" "$side" sweep-cp16-lex-floor "${SWEEP_CP16[@]}" --data "$toy" --objective max-reduction "$FLOOR"
     run "$root" "$side" sweep-gt3 "${SWEEP_GT3[@]}" --data "$toy"
     run "$root" "$side" sweep-gt3-floor "${SWEEP_GT3[@]}" --data "$toy" "$FLOOR"
+    run "$root" "$side" sweep-cp-overflow "${SWEEP_CP_OVERFLOW[@]}" --data "$toy"
     run "$root" "$side" bau-cost run-all --data "$bau" --objective cost
     run "$root" "$side" bau-cost-floor run-all --data "$bau" --objective cost "$FLOOR"
     run "$root" "$side" bau-lex run-all --data "$bau" --objective max-reduction

@@ -1,0 +1,111 @@
+"""Time the load, write and sweep steps of two checkouts in one process.
+
+Usage: python3 scripts/time_ab.py PARENT_ROOT CHANGE_ROOT
+
+Each checkout's src/ccsplan is imported under its own package name, with one
+BLAS thread unless OPENBLAS_NUM_THREADS is set. Both sides read
+CHANGE_ROOT's bundled toy-nation and the 40-region nation (160 series files)
+that CHANGE_ROOT's perfbench/gen_bau.py writes for seed 1 into a temporary
+directory. Neither checkout is written to. Six cases:
+
+- load: 40 `load_validated` calls per side, on toy-nation and on gen_bau;
+- write: 20 calls per side that write the four scenario bundles of one
+  `run-all` (s1..s4, as the CLI does) into the temporary directory, for cost
+  mode on gen_bau and max-reduction mode on toy-nation; each side solves each
+  case once with its own program;
+- sweep: 20 `engine.sweep` calls per side over the CLI's 16-point
+  carbon-price grid (10,000 to 250,000) for scenario 1 of toy-nation, in cost
+  and in max-reduction mode, after checking that both sides give the same
+  points (exit 1 if they differ).
+
+Each case makes one warm-up call per side, then alternates which side goes
+first in each pair of timed calls, and prints the min and median in
+milliseconds.
+"""
+from __future__ import annotations
+
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+
+GRID = [10000.0 + 16000.0 * k for k in range(16)]  # np.linspace(10000, 250000, 16)
+
+
+def _import_side(name: str, root: Path):
+    """The ccsplan package of checkout `root`, imported as `name`."""
+    pkg = root / "src" / "ccsplan"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _time(label: str, calls: int, fns: dict):
+    """Print the min and median of `calls` timed calls of each side's `fns[side]()`."""
+    for fn in fns.values():  # warm-up: imports, file cache
+        fn()
+    times = {side: [] for side in fns}
+    for k in range(calls):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            t0 = time.perf_counter()
+            fns[side]()
+            times[side].append(time.perf_counter() - t0)
+    for side, ts in times.items():
+        print(f"{label:20s} {side:6s} min {1e3 * min(ts):8.2f} ms  "
+              f"median {1e3 * statistics.median(ts):8.2f} ms  ({calls} calls)")
+
+
+def _write_all(dataio, outcomes: dict, out: Path):
+    for sid, result in outcomes.items():
+        dataio.write_results(result, out / f"s{sid}", scenario_id=sid)
+
+
+def _sweep_points(pkg, instance, config) -> list:
+    result = pkg.engine.sweep(instance, config, "carbon_price", GRID)
+    return [(p.reduction_pct, p.objective_value, p.error) for p in result.points]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: time_ab.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True  # write nothing into either checkout
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy is first imported
+    roots = {side: Path(arg).resolve() for side, arg in zip(("parent", "change"), argv)}
+    sides = {side: _import_side(f"ccsplan_{side}", root) for side, root in roots.items()}
+    toy = roots["change"] / "src" / "ccsplan" / "data" / "toy-nation"
+    sys.path.insert(0, str(roots["change"] / "perfbench"))
+    import gen_bau
+
+    with tempfile.TemporaryDirectory() as tmp:
+        bau = gen_bau.generate(toy, Path(tmp) / "bau", 1)
+        for label, data in (("load toy-nation", toy), ("load gen_bau", bau)):
+            _time(label, 40, {side: partial(pkg.load_validated, data) for side, pkg in sides.items()})
+
+        writes = (("write gen_bau cost", bau, "cost_only"), ("write toy-nation lex", toy, "max_reduction_lex"))
+        for label, data, mode in writes:
+            fns = {}
+            for side, pkg in sides.items():
+                outcomes = pkg.engine.run_all(pkg.load_validated(data), objective_mode=mode)
+                solved = {sid: r for sid, r in outcomes.items() if isinstance(r, pkg.engine.ScenarioResult)}
+                fns[side] = partial(_write_all, pkg.dataio, solved, Path(tmp) / side)
+            _time(label, 20, fns)
+
+        for label, mode in (("sweep cp16 cost", "cost_only"), ("sweep cp16 lex", "max_reduction_lex")):
+            fns = {side: partial(_sweep_points, pkg, pkg.load_validated(toy),
+                                 pkg.scenario_config(1, objective_mode=mode)) for side, pkg in sides.items()}
+            if fns["parent"]() != fns["change"]():
+                print(f"{label}: the two checkouts give different sweep points", file=sys.stderr)
+                return 1
+            _time(label, 20, fns)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -125,14 +125,17 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
     g = instance.globals
     cp, ccsp, gt, sp = g.cp, g.ccsp, g.gt, g.sp
     c = np.zeros(index.num_vars)
-    # tail[k, t0] = sum of FIT prices from year t0 to the end: capacity
-    # installed at t earns electricity revenue in every remaining year
-    tail = np.cumsum(sp[:, ::-1], axis=1)[:, ::-1]
-    c[index.re] = instance.rp - cp * instance.g - instance.h[:, :, None] * tail
-    c[index.ccs_s[list(instance.sellers)]] = ccsp
-    # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
-    pairs = np.ix_(instance.buyers, instance.sellers)
-    c[index.ccs_b[pairs]] = ccsp + gt * instance.distance_km[pairs][:, :, None] + cp
+    # finite prices may still overflow; LinearProgram.validate names the
+    # non-finite coefficient, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # tail[k, t0] = sum of FIT prices from year t0 to the end: capacity
+        # installed at t earns electricity revenue in every remaining year
+        tail = np.cumsum(sp[:, ::-1], axis=1)[:, ::-1]
+        c[index.re] = instance.rp - cp * instance.g - instance.h[:, :, None] * tail
+        c[index.ccs_s[list(instance.sellers)]] = ccsp
+        # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
+        pairs = np.ix_(instance.buyers, instance.sellers)
+        c[index.ccs_b[pairs]] = ccsp + gt * instance.distance_km[pairs][:, :, None] + cp
     return c
 
 

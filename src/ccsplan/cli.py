@@ -183,7 +183,7 @@ def cmd_report(parser, args) -> int:
         print(f"error: no summary.json under {args.results}", file=sys.stderr)
         return 1
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             s = json.load(fh)
         head = _summary_line(s)
     except (KeyError, TypeError, ValueError) as exc:  # malformed JSON, or the summary of a sweep bundle

@@ -7,8 +7,9 @@ Every CSV file is read by `_read_table`, under the rules of the README's
 on load; semantic checks, NaN and inf included, are deferred to
 domain.validate_instance.
 
-Result bundles are bit-stable: fixed field order, 1e-9-rounded decimal
-formatting, LF line endings.
+Every file is read and written as UTF-8, whatever the locale. Result bundles
+are bit-stable: fixed field order, 1e-9-rounded decimal formatting, LF line
+endings.
 """
 from __future__ import annotations
 
@@ -280,7 +281,9 @@ def load_validated(path) -> ModelInstance:
 
 
 def _write_lines(path: Path, lines):
-    with open(path, "w", newline="\n") as fh:
+    """Write one bundle file, a line per entry of `lines`: UTF-8 with LF line
+    endings, whatever the locale."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -292,12 +295,6 @@ def _write_table(path: Path, columns: dict, keep=None):
     *arrays, mask = np.broadcast_arrays(*columns.values(), True if keep is None else keep)
     cells = [a[mask] if a.dtype.kind == "U" else _fmt_column(a[mask]) for a in arrays]
     _write_lines(path, [",".join(columns), *map(",".join, zip(*cells))])
-
-
-def _write_summary(path: Path, summary: dict):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_round9(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_results(result: ScenarioResult, out_path, scenario_id: int | None = None):
@@ -372,7 +369,7 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         "total_ccs_t": float(plan.ccs_local.sum() + plan.ccs_traded.sum()),
         "cumulative_net_yen": float(cum[-1]),
     }
-    _write_summary(out / "summary.json", summary)
+    _write_lines(out / "summary.json", [json.dumps(_round9(summary), indent=2, sort_keys=True)])
     return summary
 
 
@@ -415,7 +412,7 @@ def write_sweep(result: SweepResult, out_path, scenario_id: int):
             for p in result.points
         ],
     }
-    _write_summary(out / "summary.json", summary)
+    _write_lines(out / "summary.json", [json.dumps(_round9(summary), indent=2, sort_keys=True)])
     return out
 
 

@@ -228,9 +228,9 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
     replaced by the constant value. Per-point failures never abort the sweep.
 
     The swept parameters appear only in the objective. So the program is
-    assembled once, at the first point that assembles, and every later point
-    solves it with its own objective (`build_objective`); the simplex scales
-    the shared rows once. Each point starts from the previous successful
+    assembled once, at the first point that assembles, and every point solves
+    it with its own objective (`build_objective`); the simplex scales the
+    shared rows once. Each point starts from the previous successful
     point's basis (a point after a failure starts cold), so the points run
     serially in grid order. Every point gives what `run_scenario` gives on the
     instance with the series replaced, started from the previous point."""
@@ -243,43 +243,29 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
         raise ValueError("grid must be strictly increasing")
     key = PARAMETER_KEYS[parameter]
 
-    points = []
-    lp0 = index = prev = None
+    points, program, prev = [], None, None
     for value in grid:
-        point = SweepPoint(value=value)
-        points.append(point)
         prices = replace(instance.globals, **{key: np.full(instance.T, value)})
         # the point shares the instance's distance matrix: the same floats,
         # computed once
         inst = replace(instance, globals=prices, distances=instance.distance_km)
         try:
-            if lp0 is None:
-                lp0, index = assemble(inst, config)
-                lp = lp0
-            else:
-                lp = replace(lp0, objective=build_objective(inst, index))
-            res = prev = _solve_assembled(inst, config, lp, index, prev)
+            lp, index = program = program or assemble(inst, config)
+            prev = _solve_assembled(inst, config, replace(lp, objective=build_objective(inst, index)), index, prev)
         # the solve validates a point's objective
         except (ScenarioError, ValidationError, InvalidProgramError) as exc:
-            point.error = str(exc)
+            points.append(SweepPoint(value, error=str(exc)))
             prev = None
             continue
-        point.reduction_pct = res.reduction_pct
-        point.objective_value = res.objective_value
-        point.any_trading = bool(res.plan.ccs_traded.sum() > 0)
-        point.total_re_gw = float(res.plan.re_installed.sum())
-        point.total_ccs_t = float(res.plan.ccs_local.sum() + res.plan.ccs_traded.sum())
+        plan = prev.plan
+        points.append(SweepPoint(
+            value, reduction_pct=prev.reduction_pct, objective_value=prev.objective_value,
+            any_trading=bool(plan.ccs_traded.sum() > 0), total_re_gw=float(plan.re_installed.sum()),
+            total_ccs_t=float(plan.ccs_local.sum() + plan.ccs_traded.sum()),
+        ))
 
-    threshold = None
-    monotone = True
-    prev = None
-    for p in points:
-        if p.error is not None:
-            continue
-        if prev is not None:
-            if p.reduction_pct < prev - 1e-9:
-                monotone = False
-            if threshold is None and p.reduction_pct - prev > JUMP_PP:
-                threshold = p.value
-        prev = p.reduction_pct
+    ok = [p for p in points if p.error is None]
+    steps = list(zip(ok, ok[1:]))  # consecutive successful points
+    monotone = all(b.reduction_pct >= a.reduction_pct - 1e-9 for a, b in steps)
+    threshold = next((b.value for a, b in steps if b.reduction_pct - a.reduction_pct > JUMP_PP), None)
     return SweepResult(config, parameter, grid, points, threshold, monotone)

@@ -1,8 +1,12 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,8 +298,8 @@ def test_overflowing_cost_is_solve_failure(tmp_path, capsys):
     conf = json.loads((tmp_path / "globals.json").read_text())
     conf["cp"] = {"constant": 1e308}
     (tmp_path / "globals.json").write_text(json.dumps(conf))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["solve", "--data", str(tmp_path), "--scenario", "1", "--out", str(tmp_path / "o")])
+    # the named error only: numpy's overflow warning would fail the suite
+    code = main(["solve", "--data", str(tmp_path), "--scenario", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "objective coefficient is not finite" in capsys.readouterr().err
 
@@ -456,6 +460,41 @@ def test_report_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scenario 2: optimal" in out
     assert "ccs trading: no" in out
+
+
+def _run_cli(args, utf8_mode):
+    """`python3 -m ccsplan.cli ARGS` in the ASCII C locale, with Python's UTF-8
+    mode on or off; the completed process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="1" if utf8_mode else "0",
+               PYTHONPATH=str(Path(engine.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "ccsplan.cli", *args], env=env, capture_output=True, timeout=300)
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_bundles_do_not_depend_on_the_locale(tmp_path):
+    # a region id outside ASCII lands in every region column of the bundles
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    for name in ("regions.csv", "tech.csv"):  # the first column: id, region_id
+        path = data / name
+        path.write_text(re.sub("^aster,", "Tōkyō,", path.read_text(encoding="utf-8"), flags=re.M), encoding="utf-8")
+    commands = {"solve": ["solve", "--scenario", "1"], "run-all": ["run-all"]}
+    for name, command in commands.items():
+        bundles = {}
+        for utf8_mode in (False, True):
+            out = tmp_path / f"{name}-{int(utf8_mode)}"
+            proc = _run_cli([*command, "--objective", "cost", "--data", str(data), "--out", str(out)], utf8_mode)
+            assert proc.returncode == 0, proc.stderr.decode()
+            bundles[utf8_mode] = _files(out)
+        assert "Tōkyō,solar,2018".encode() in bundles[False][Path("plan.csv" if name == "solve" else "s1/plan.csv")]
+        assert bundles[False] == bundles[True]
+    proc = _run_cli(["report", "--results", str(tmp_path / "solve-0")], utf8_mode=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.startswith(b"scenario 1: optimal")
 
 
 def test_report_missing_summary(tmp_path, capsys):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccsplan import engine, simplex
 from ccsplan.builder import CCS_CLAMP, COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
@@ -372,3 +374,49 @@ def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
         cold = run_scenario(_with_series(toy_instance, "cp", p.value), scenario_config(2))
         assert p.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert p.reduction_pct == pytest.approx(cold.reduction_pct, rel=1e-9)
+
+
+def _reference_threshold_and_monotone(points):
+    """The reference `(threshold, monotone)` of a sweep's points: a loop that
+    skips failed points and compares each success with the success before it."""
+    threshold, monotone, prev = None, True, None
+    for p in points:
+        if p.error is not None:
+            continue
+        if prev is not None:
+            if p.reduction_pct < prev - 1e-9:
+                monotone = False
+            if threshold is None and p.reduction_pct - prev > engine.JUMP_PP:
+                threshold = p.value
+        prev = p.reduction_pct
+    return threshold, monotone
+
+
+UNIT = make_unit_instance()
+# None marks a failed point; the listed values sit at the 1e-9 and JUMP_PP edges
+point_outcomes = st.none() | st.floats(0.0, 100.0) | st.sampled_from([0.0, 1e-9, 1.0, 2.0, 2.0 - 2e-9, 3.0 + 1e-12])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(point_outcomes, min_size=1, max_size=8))
+@example([10.0, None, 12.0])  # a jump across a failed point
+@example([10.0, None, 9.0, 20.0])  # a fall across a failed point, then a jump
+@example([None, None])
+def test_sweep_threshold_and_monotone_skip_failed_points(reductions):
+    grid = [float(k) for k in range(len(reductions))]
+    outcome = dict(zip(grid, reductions))
+    zeros = np.zeros(3)
+
+    def stub(inst, config, lp, index, start):
+        pct = outcome[inst.globals.cp[0]]
+        if pct is None:
+            raise ScenarioError("stub failure")
+        plan = SimpleNamespace(ccs_traded=zeros, re_installed=zeros, ccs_local=zeros)
+        return SimpleNamespace(reduction_pct=pct, objective_value=-pct, plan=plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_solve_assembled", stub)
+        sw = sweep(UNIT, scenario_config(1), "carbon_price", grid)
+    assert [p.reduction_pct for p in sw.points] == reductions
+    assert [p.error for p in sw.points] == ["stub failure" if r is None else None for r in reductions]
+    assert (sw.threshold, sw.monotone) == _reference_threshold_and_monotone(sw.points)
