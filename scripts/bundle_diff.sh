@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Write the same eighteen CLI output sets from two checkouts and compare them.
+# Write the same nineteen CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
@@ -8,9 +8,11 @@
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
 # seed 1. Fifteen sets are result bundles (one `solve`, the others `run-all` and
 # `sweep`, among them a carbon-price sweep whose highest prices overflow the
-# objective, so that failed points are compared too); two are `ccsplan
-# validate` on each dataset, so that the load and validation path is compared
-# too; one is `ccsplan report` of the `solve` bundle. The sets are written to
+# objective, so that failed points are compared too); three are `ccsplan
+# validate`, on each dataset and on toy-nation in the ASCII C locale with
+# Python's UTF-8 mode off, so that the load and validation path and the
+# locale's stdout encoding are compared too; one is `ccsplan report` of the
+# `solve` bundle. The sets are written to
 # OUT/parent/<set> and OUT/change/<set>, each with the CLI's stdout, stderr and
 # exit code (sets left in OUT by an earlier call are removed first), then
 # compared with `diff -rq`.
@@ -53,6 +55,8 @@ side() {
         "$root/perfbench" "$toy" "$bau"
     run "$root" "$side" validate-toy validate --data "$toy"
     run "$root" "$side" validate-bau validate --data "$bau"
+    LC_ALL=C LANG=C PYTHONCOERCECLOCALE=0 PYTHONUTF8=0 PYTHONIOENCODING= \
+        run "$root" "$side" validate-toy-ascii validate --data "$toy"
     run "$root" "$side" solve-s4-cost-floor solve --data "$toy" --scenario 4 --objective cost "$FLOOR"
     run "$root" "$side" report-s4-cost-floor report --results "$OUT/$side/solve-s4-cost-floor/bundle"
     run "$root" "$side" runall-cost run-all --data "$toy" --objective cost

@@ -32,7 +32,6 @@ from .domain import (
     Horizon,
     ModelInstance,
     Region,
-    TechKind,
     ValidationError,
     validate_instance,
 )

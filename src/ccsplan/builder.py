@@ -69,8 +69,7 @@ class VariableIndex:
 
     def __init__(self, instance: ModelInstance):
         n, K, T = instance.n, NUM_TECH, instance.T
-        sellers = np.array(instance.sellers, dtype=int)
-        buyers = np.array(instance.buyers, dtype=int)
+        sellers, buyers = instance.sellers, instance.buyers
         ns, nb = len(sellers), len(buyers)
         # each block is numbered year-major, in the order of the module docstring
         self.re = np.arange(T * n * K).reshape(T, n, K).transpose(1, 2, 0).copy()
@@ -92,13 +91,12 @@ class VariableIndex:
     @cached_property
     def names(self) -> list:
         instance = self._instance
-        sellers = np.array(instance.sellers, dtype=int)
-        buyers = np.array(instance.buyers, dtype=int)
+        sellers, buyers = instance.sellers, instance.buyers
         # names are built per block as a small prefix array plus the year
         # suffix, so that only the last concatenation spans the whole block
         year = "][" + np.array(instance.horizon.years).astype(str)[:, None, None] + "]"
         ids = np.array([r.id for r in instance.regions])
-        kinds = np.array([kind.value for kind in TECH_ORDER])
+        kinds = np.array(TECH_ORDER)
         names = (
             "RE[" + ids[:, None] + "][" + kinds + year,  # (t, i, k)
             "CCSs[" + ids[sellers] + year[:, 0],  # (t, seller)
@@ -132,7 +130,7 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
         # installed at t earns electricity revenue in every remaining year
         tail = np.cumsum(sp[:, ::-1], axis=1)[:, ::-1]
         c[index.re] = instance.rp - cp * instance.g - instance.h[:, :, None] * tail
-        c[index.ccs_s[list(instance.sellers)]] = ccsp
+        c[index.ccs_s[instance.sellers]] = ccsp
         # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
         pairs = np.ix_(instance.buyers, instance.sellers)
         c[index.ccs_b[pairs]] = ccsp + gt * instance.distance_km[pairs][:, :, None] + cp
@@ -167,7 +165,7 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
     cap = instance.globals.cap
     years = np.array(instance.horizon.years).astype(str)
     ids = np.array([r.id for r in instance.regions])
-    kinds = np.array([kind.value for kind in TECH_ORDER])
+    kinds = np.array(TECH_ORDER)
     off = offset_vector(instance, index)
     t_of, i_of = _year_and_region(index)
     families = []  # (rows, cols, vals, rhs, names)
@@ -181,7 +179,7 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
 
     # storage capacity rows (yearly equal split, or one total row per site):
     # local storage of each seller plus everything bought from it
-    sellers = np.array(instance.sellers, dtype=int)
+    sellers = instance.sellers
     capacity = np.array([instance.regions[i].ccs_capacity for i in sellers])
     if config.ccs_limit_mode == EQUAL_YEARLY:
         row_of = np.arange(len(sellers) * T).reshape(-1, T)  # (seller, t) -> local row

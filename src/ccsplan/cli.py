@@ -116,7 +116,7 @@ def cmd_validate(parser, args) -> int:
     n_series = 2 * instance.n * NUM_TECH + 4 + NUM_TECH
     print(
         f"{instance.n} regions ({len(instance.sellers)} storage-capable), "
-        f"horizon {y0}–{y1}, {n_series} series"
+        f"horizon {y0}-{y1}, {n_series} series"
     )
     return 0
 

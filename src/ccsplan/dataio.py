@@ -8,8 +8,8 @@ on load; semantic checks, NaN and inf included, are deferred to
 domain.validate_instance.
 
 Every file is read and written as UTF-8, whatever the locale. Result bundles
-are bit-stable: fixed field order, 1e-9-rounded decimal formatting, LF line
-endings.
+are bit-stable: fixed field order, 1e-9-rounded decimal formatting (Python's
+shortest round-trip text from 2**53 up, e.g. 1e+308), LF line endings.
 """
 from __future__ import annotations
 
@@ -45,7 +45,10 @@ class DataError(ValidationError):
 
 
 def _fmt(x) -> str:
-    """Deterministic decimal rendering, rounded at 1e-9; never "-0"."""
+    """Deterministic decimal rendering, rounded at 1e-9; never "-0". From 2**53
+    up, where every float is whole, the shortest round-trip text (`repr`)."""
+    if abs(x) >= 2.0**53:
+        return repr(float(x))
     s = f"{x:.9f}".rstrip("0").rstrip(".")
     return "0" if s == "-0" else s
 
@@ -195,9 +198,9 @@ def load(path) -> ModelInstance:
     gt = _parse_series(gconf.get("gt"), T, "gt", errors) / mass
     cap = _parse_series(gconf.get("cap", [None] * T), T, "cap", errors) * mass
     spconf = _object(gconf, "sp", errors)
-    sp = np.array([_parse_series(spconf.get(k.value), T, f"sp.{k.value}", errors) for k in TECH_ORDER])
+    sp = np.array([_parse_series(spconf.get(k), T, f"sp.{k}", errors) for k in TECH_ORDER])
     alpha_conf = _object(gconf, "alpha", errors)
-    alpha = np.array([_float(alpha_conf.get(k.value, 0.0), f"globals.json: alpha.{k.value}", errors)
+    alpha = np.array([_float(alpha_conf.get(k, 0.0), f"globals.json: alpha.{k}", errors)
                       for k in TECH_ORDER] if alpha_conf else DEFAULT_ALPHA)
 
     regions = {}
@@ -214,7 +217,7 @@ def load(path) -> ModelInstance:
     idx = {rid: i for i, rid in enumerate(regions)}
     g, rp = np.zeros((len(idx), NUM_TECH, T)), np.zeros((len(idx), NUM_TECH, T))
     h, potential = np.zeros((len(idx), NUM_TECH)), np.zeros((len(idx), NUM_TECH))
-    kind_of = {k.value: j for j, k in enumerate(TECH_ORDER)}
+    kind_of = {k: j for j, k in enumerate(TECH_ORDER)}
 
     @functools.cache
     def series(name):
@@ -318,14 +321,13 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
 
     amount = np.concatenate([plan.re_installed.transpose(2, 0, 1), plan.ccs_local.T[:, :, None]], axis=2)
     _write_table(out / "plan.csv", {  # (t, i, solar/wind/CCS)
-        "region": ids[:, None], "tech": [kind.value for kind in TECH_ORDER] + ["CCS"],
+        "region": ids[:, None], "tech": [*TECH_ORDER, "CCS"],
         "year": years[:, None, None], "amount": amount, "unit": ["GW"] * len(TECH_ORDER) + ["t"],
     }, keep=amount != 0)
     _write_table(out / "emissions.csv", {"region": ids[:, None], "year": years, "tonnes": result.emissions})
-    buyers, sellers = list(inst.buyers), list(inst.sellers)
-    tonnes = plan.ccs_traded[np.ix_(buyers, sellers)].transpose(2, 0, 1)  # (t, buyer, seller)
+    tonnes = plan.ccs_traded[np.ix_(inst.buyers, inst.sellers)].transpose(2, 0, 1)  # (t, buyer, seller)
     _write_table(out / "trades.csv", {
-        "year": years[:, None, None], "from": ids[buyers][:, None], "to": ids[sellers], "tonnes": tonnes,
+        "year": years[:, None, None], "from": ids[inst.buyers][:, None], "to": ids[inst.sellers], "tonnes": tonnes,
     }, keep=tonnes != 0)
     flows = {f: getattr(cash, f) for f in (
         "invest_re", "invest_ccs", "transport_cost", "storage_fee_paid", "fit_revenue", "ets_revenue")}

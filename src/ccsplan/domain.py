@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -17,12 +16,7 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 
-class TechKind(str, Enum):
-    SOLAR = "solar"
-    WIND = "wind"
-
-
-TECH_ORDER = (TechKind.SOLAR, TechKind.WIND)
+TECH_ORDER = ("solar", "wind")
 NUM_TECH = len(TECH_ORDER)
 
 DEFAULT_ALPHA = (0.31, 0.69)  # in TECH_ORDER
@@ -57,10 +51,6 @@ class Region:
     ccs_capacity: float  # total storable tonnes over horizon; 0 => no storage
     location: tuple | None = None  # (lat, lon) degrees
 
-    @property
-    def has_storage(self) -> bool:
-        return self.ccs_capacity > 0
-
 
 @dataclass
 class GlobalParams:
@@ -92,18 +82,14 @@ class ModelInstance:
         return self.horizon.num_years
 
     @cached_property
-    def sellers(self) -> tuple:
-        """Indices of regions in V_s (physical storage capability)."""
-        return tuple(i for i, r in enumerate(self.regions) if r.has_storage)
+    def sellers(self) -> np.ndarray:
+        """Ascending indices of the regions in V_s (physical storage capability)."""
+        return np.flatnonzero([r.ccs_capacity > 0 for r in self.regions])
 
     @cached_property
-    def buyers(self) -> tuple:
-        """Indices of regions in V_b (no physical storage)."""
-        return tuple(i for i, r in enumerate(self.regions) if not r.has_storage)
-
-    @cached_property
-    def region_index(self) -> dict:
-        return {r.id: i for i, r in enumerate(self.regions)}
+    def buyers(self) -> np.ndarray:
+        """Ascending indices of the regions in V_b (no physical storage)."""
+        return np.flatnonzero([not r.ccs_capacity > 0 for r in self.regions])
 
     @cached_property
     def distance_km(self) -> np.ndarray:
@@ -180,7 +166,7 @@ def alpha_errors(alpha: np.ndarray) -> list:
     errors = [] if abs(total - 1.0) <= 1e-9 else [f"globals.alpha: alpha sums to {total:g}"]
     for k, share in zip(TECH_ORDER, alpha):
         if not share > 0:
-            errors.append(f"globals.alpha[{k.value}]: must be > 0 when resilience is enabled")
+            errors.append(f"globals.alpha[{k}]: must be > 0 when resilience is enabled")
     return errors
 
 
@@ -227,7 +213,7 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
         errors.append("globals.cap: negative or NaN value (use +inf for an unbounded year)")
 
     for k, kind in enumerate(TECH_ORDER):
-        _as_series(sp[k], T, f"globals.sp[{kind.value}]", errors)
+        _as_series(sp[k], T, f"globals.sp[{kind}]", errors)
 
     regions = []
     for i, r in enumerate(raw.regions):
@@ -241,7 +227,7 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
                 if not abs(value) <= limit:
                     errors.append(f"regions[{r.id}].location.{name}: {value!r} outside [-{limit:g}, {limit:g}]")
         for k, kind in enumerate(TECH_ORDER):
-            path = f"regions[{r.id}].tech[{kind.value}]"
+            path = f"regions[{r.id}].tech[{kind}]"
             _as_series(g[i, k], T, f"{path}.g", errors)
             _as_series(rp[i, k], T, f"{path}.rp", errors)
             _check_scalar(h[i, k], f"{path}.h", errors)

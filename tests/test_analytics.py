@@ -119,7 +119,9 @@ def test_trades_run_from_buyer_to_seller():
                    [70.0, 80.0, 0.0, 90.0], [110.0, 130.0, 170.0, 0.0]])
     inst = ModelInstance(horizon=Horizon(2018, T), regions=regions, globals=g, g=np.zeros((4, 2, T)),
                          rp=np.zeros((4, 2, T)), h=np.zeros((4, 2)), potential=np.zeros((4, 2)), distances=km)
-    assert inst.buyers == (0, 2) and inst.sellers == (1, 3)
+    np.testing.assert_array_equal(inst.buyers, [0, 2])
+    np.testing.assert_array_equal(inst.sellers, [1, 3])
+    assert np.array(ids)[inst.buyers].tolist() == ["b1", "b2"]
 
     index = VariableIndex(inst)
     c = build_objective(inst, index)

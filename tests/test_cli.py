@@ -22,7 +22,7 @@ DATA = str(toy_nation_path())
 
 def test_validate_ok(capsys):
     assert main(["validate", "--data", DATA]) == 0
-    assert capsys.readouterr().out == "10 regions (3 storage-capable), horizon 2018–2050, 46 series\n"
+    assert capsys.readouterr().out == "10 regions (3 storage-capable), horizon 2018-2050, 46 series\n"
 
 
 def test_validate_reports_errors(tmp_path, capsys):
@@ -495,6 +495,11 @@ def test_bundles_do_not_depend_on_the_locale(tmp_path):
     proc = _run_cli(["report", "--results", str(tmp_path / "solve-0")], utf8_mode=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.startswith(b"scenario 1: optimal")
+    validated = [_run_cli(["validate", "--data", str(data)], utf8_mode) for utf8_mode in (False, True)]
+    for proc in validated:
+        assert proc.returncode == 0, proc.stderr.decode()
+    assert validated[0].stdout == validated[1].stdout
+    assert validated[0].stdout == b"10 regions (3 storage-capable), horizon 2018-2050, 46 series\n"
 
 
 def test_report_missing_summary(tmp_path, capsys):

@@ -68,14 +68,15 @@ def test_toy_nation_loads_and_validates():
     assert inst.baseline_total == pytest.approx(1e8)
     assert np.isinf(inst.globals.cap[:8]).all()
     assert inst.globals.cap[-1] == pytest.approx(4.0e7)
-    grove = inst.regions[inst.region_index["grove"]]
+    grove = next(r for r in inst.regions if r.id == "grove")
     assert grove.ccs_capacity == pytest.approx(1.6e7)
 
 
 def test_mini_dataset_roundtrip(tmp_path):
     inst = load_validated(write_mini_dataset(tmp_path))
     assert [r.id for r in inst.regions] == ["north", "south"]
-    assert inst.sellers == (0,)
+    np.testing.assert_array_equal(inst.sellers, [0])
+    np.testing.assert_array_equal(inst.buyers, [1])
     np.testing.assert_allclose(inst.globals.cp, [10.0, 10.0])
     np.testing.assert_allclose(inst.globals.cap, [np.inf, 50.0])
     np.testing.assert_allclose(inst.g[0, 0], [10.0, 10.0])  # north solar
@@ -139,10 +140,17 @@ def test_fmt_is_stable():
     assert _fmt(0.5) == "0.5"
     assert _fmt(1e-12) == "0"
     assert _fmt(2.0000000004) == "2"
+    assert _fmt(2.0**53 - 1) == "9007199254740991"
+    assert _fmt(2.0**53) == "9007199254740992.0"
+    assert _fmt(1e308 / 3) == "3.333333333333333e+307"
+    assert _fmt(-1e308) == "-1e+308"
 
 
 def old_cell(x):
-    """A numeric cell's text as bundles have always written it."""
+    """A numeric cell's text as bundles have always written it below 2**53;
+    from there up, where every float is whole, its `repr`."""
+    if abs(x) >= 2**53:
+        return repr(float(x))
     return f"{_round9(float(x)):.9f}".rstrip("0").rstrip(".") or "0"
 
 
@@ -151,7 +159,8 @@ cell_values = st.one_of(
     # the rounding grid, and its ties at 5e-10
     st.builds(lambda k, step, offset: k * step + offset, st.integers(-10**12, 10**12),
               st.sampled_from([1e-9, 1e-10]), st.sampled_from([-5e-10, 0.0, 5e-10])),
-    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 4e-10, -4e-10]),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 4e-10, -4e-10,
+                     2.0**53, -2.0**53, 2.0**53 - 1, 1.7976931348623157e308]),
 )
 
 

@@ -53,7 +53,7 @@ def test_distance_requires_matrix_or_locations():
 def test_validate_accepts_unit_instance():
     inst = validate_instance(make_unit_instance())
     assert inst.n == 1
-    assert inst.sellers == (0,)
+    np.testing.assert_array_equal(inst.sellers, [0])
     np.testing.assert_array_equal(inst.globals.alpha, DEFAULT_ALPHA)
 
 
