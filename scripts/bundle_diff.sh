@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Write the same nineteen CLI output sets from two checkouts and compare them.
+# Write the same twenty CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
@@ -12,7 +12,9 @@
 # validate`, on each dataset and on toy-nation in the ASCII C locale with
 # Python's UTF-8 mode off, so that the load and validation path and the
 # locale's stdout encoding are compared too; one is `ccsplan report` of the
-# `solve` bundle. The sets are written to
+# `solve` bundle; one is `run-all` into a bundle whose s2/plotdata is a file
+# made beforehand, so that the error path of a blocked bundle file is compared
+# too. The sets are written to
 # OUT/parent/<set> and OUT/change/<set>, each with the CLI's stdout, stderr and
 # exit code (sets left in OUT by an earlier call are removed first), then
 # compared with `diff -rq`.
@@ -63,6 +65,9 @@ side() {
     run "$root" "$side" runall-cost-floor run-all --data "$toy" --objective cost "$FLOOR"
     run "$root" "$side" runall-lex run-all --data "$toy" --objective max-reduction
     run "$root" "$side" runall-lex-floor run-all --data "$toy" --objective max-reduction "$FLOOR"
+    mkdir -p "$OUT/$side/runall-blocked-file/bundle/s2"
+    touch "$OUT/$side/runall-blocked-file/bundle/s2/plotdata"
+    run "$root" "$side" runall-blocked-file run-all --data "$toy" --objective cost
     run "$root" "$side" sweep-cp16 "${SWEEP_CP16[@]}" --data "$toy"
     run "$root" "$side" sweep-cp16-floor "${SWEEP_CP16[@]}" --data "$toy" "$FLOOR"
     run "$root" "$side" sweep-cp16-lex "${SWEEP_CP16[@]}" --data "$toy" --objective max-reduction

@@ -45,7 +45,7 @@ from .engine import (
     run_scenario,
     sweep,
 )
-from .lp import InvalidProgramError, LinearProgram, LpSolution, Row, Status, check_solution, to_mps
+from .lp import InvalidProgramError, LinearProgram, LpSolution, Row, Status, check_solution
 from .oracle import enumerate_oracle
 from .simplex import solve
 

@@ -15,17 +15,12 @@ from .engine import ScenarioResult
 
 @dataclass
 class ContributionShares:
-    years: list  # calendar years
     solar_t: np.ndarray  # cumulative tonnes offset by year
     wind_t: np.ndarray
     ccs_t: np.ndarray
     solar_pct: float | None  # shares at the final year; None when nothing offset
     wind_pct: float | None
     ccs_pct: float | None
-
-    @property
-    def total_t(self) -> np.ndarray:
-        return self.solar_t + self.wind_t + self.ccs_t
 
 
 @dataclass
@@ -52,9 +47,6 @@ class CashflowSeries:
         that reproduces the negated cost objective)."""
         return self.net().sum(axis=0)
 
-    def national_net_with_transfers(self) -> np.ndarray:
-        return self.national_net() + self.storage_fee_received.sum(axis=0)
-
     def cumulative_net(self) -> np.ndarray:
         return np.cumsum(self.national_net())
 
@@ -72,7 +64,6 @@ def contribution_shares(result: ScenarioResult) -> ContributionShares:
     else:
         pct = [None, None, None]
     return ContributionShares(
-        years=list(inst.horizon.years),
         solar_t=solar,
         wind_t=wind,
         ccs_t=ccs,
@@ -134,12 +125,10 @@ def payback_year(series: CashflowSeries) -> int | None:
 
 @dataclass
 class TradeMatrix:
-    traded: np.ndarray  # (n, n, T) tonnes, [buyer j, seller i, year]
     any_trading: bool
     total_traded_t: float
 
 
 def trade_matrix(result: ScenarioResult) -> TradeMatrix:
-    traded = result.plan.ccs_traded
-    total = float(traded.sum())
-    return TradeMatrix(traded=traded, any_trading=total > 0, total_traded_t=total)
+    total = float(result.plan.ccs_traded.sum())
+    return TradeMatrix(any_trading=total > 0, total_traded_t=total)

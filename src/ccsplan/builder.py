@@ -65,7 +65,7 @@ class VariableIndex:
 
     It is also the sequence of the variable names (`len` and `index[j]`). The
     names are built on first use, so a run that reads none of them (every
-    successful solve) never builds them: only error messages and `to_mps` do."""
+    successful solve) never builds them: only error messages do."""
 
     def __init__(self, instance: ModelInstance):
         n, K, T = instance.n, NUM_TECH, instance.T

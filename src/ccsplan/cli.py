@@ -81,16 +81,19 @@ def _load(parser, args):
         raise SystemExit(1)
 
 
-def _check_out(args, *bundle_dirs):
-    """Exit 1 before any solve when one of the bundle directories under --out
-    cannot become a directory: it, or its nearest existing ancestor, is not a
-    directory."""
+def _check_out(args, files, *bundle_dirs):
+    """Exit 1 before any solve when one of the `files` (dataio.RESULT_FILES or
+    SWEEP_FILES) under one of the bundle directories cannot be written: its
+    nearest existing ancestor is not a directory, or it is one."""
     for bundle_dir in bundle_dirs:
-        path = Path(bundle_dir).absolute()
-        blocker = next(p for p in (path, *path.parents) if p.exists())
-        if not blocker.is_dir():
-            print(f"error: --out {args.out}: {blocker} is not a directory", file=sys.stderr)
-            raise SystemExit(1)
+        for name in files:
+            path = Path(bundle_dir, name).absolute()
+            blocker = next(p for p in path.parents if p.exists())
+            problem = (f"{blocker} is not a directory" if not blocker.is_dir()
+                       else f"{path} is a directory" if path.is_dir() else None)
+            if problem:
+                print(f"error: --out {args.out}: {problem}", file=sys.stderr)
+                raise SystemExit(1)
 
 
 def _config(args):
@@ -112,7 +115,7 @@ def _summary_line(summary):
 def cmd_validate(parser, args) -> int:
     instance = _load(parser, args)
     y0 = instance.horizon.start_year
-    y1 = instance.horizon.year_of(instance.T)
+    y1 = instance.horizon.years[-1]
     n_series = 2 * instance.n * NUM_TECH + 4 + NUM_TECH
     print(
         f"{instance.n} regions ({len(instance.sellers)} storage-capable), "
@@ -135,7 +138,7 @@ def _write_outcomes(outcomes, bundle_dirs) -> int:
 
 
 def cmd_solve(parser, args) -> int:
-    _check_out(args, args.out)
+    _check_out(args, dataio.RESULT_FILES, args.out)
     instance = _load(parser, args)
     try:
         outcome = engine.run_scenario(instance, _config(args))
@@ -146,7 +149,7 @@ def cmd_solve(parser, args) -> int:
 
 def cmd_run_all(parser, args) -> int:
     bundle_dirs = {sid: os.path.join(args.out, f"s{sid}") for sid in (1, 2, 3, 4)}
-    _check_out(args, *bundle_dirs.values())
+    _check_out(args, dataio.RESULT_FILES, *bundle_dirs.values())
     instance = _load(parser, args)
     outcomes = engine.run_all(instance, OBJECTIVE_MODES[args.objective], args.ccs_nonneg_emissions)
     return _write_outcomes(outcomes, bundle_dirs)
@@ -159,7 +162,7 @@ def cmd_sweep(parser, args) -> int:
         parser.error(f"--from {args.lo} exceeds --to {args.hi}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    _check_out(args, args.out)
+    _check_out(args, dataio.SWEEP_FILES, args.out)
     instance = _load(parser, args)
     grid = np.linspace(args.lo, args.hi, args.steps).tolist()
     try:
@@ -185,18 +188,16 @@ def cmd_report(parser, args) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             s = json.load(fh)
-        head = _summary_line(s)
-    except (KeyError, TypeError, ValueError) as exc:  # malformed JSON, or the summary of a sweep bundle
+        lines = [_summary_line(s)]
+        shares = s.get("shares_pct")
+        if shares:
+            lines.append(f"offset shares: solar {shares['solar']:.1f}%, wind {shares['wind']:.1f}%, "
+                         f"ccs {shares['ccs']:.1f}%")
+        lines.append(f"ccs trading: {'yes' if s.get('any_trading') else 'no'}")
+    except (KeyError, TypeError, ValueError) as exc:  # malformed JSON or summary, or the summary of a sweep bundle
         print(f"error: {path}: not the summary of a solved scenario ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
-    print(head)
-    shares = s.get("shares_pct")
-    if shares:
-        print(
-            f"offset shares: solar {shares['solar']:.1f}%, wind {shares['wind']:.1f}%, "
-            f"ccs {shares['ccs']:.1f}%"
-        )
-    print(f"ccs trading: {'yes' if s.get('any_trading') else 'no'}")
+    print("\n".join(lines))
     return 0
 
 

@@ -300,12 +300,18 @@ def _write_table(path: Path, columns: dict, keep=None):
     _write_lines(path, [",".join(columns), *map(",".join, zip(*cells))])
 
 
+# the paths, relative to the bundle directory, that each bundle writer writes
+RESULT_FILES = ("plan.csv", "emissions.csv", "trades.csv", "cashflow.csv", "plotdata/fig13.csv",
+                "plotdata/fig14.csv", "plotdata/deployment.csv", "summary.json")
+SWEEP_FILES = ("sweep.csv", "summary.json")
+
+
 def write_results(result: ScenarioResult, out_path, scenario_id: int | None = None):
     """Write the full result bundle for one solved scenario.
 
-    Layout: plan.csv, emissions.csv, trades.csv, cashflow.csv, summary.json,
-    plotdata/*.csv. Running twice with identical inputs produces byte-identical
-    bundles. Returns the summary, before summary.json's rounding.
+    Layout (RESULT_FILES): plan.csv, emissions.csv, trades.csv, cashflow.csv,
+    summary.json, plotdata/*.csv. Running twice with identical inputs produces
+    byte-identical bundles. Returns the summary, before summary.json's rounding.
     """
     inst = result.instance
     out = Path(out_path)
@@ -376,7 +382,7 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
 
 
 def write_sweep(result: SweepResult, out_path, scenario_id: int):
-    """Write the bundle of one price sweep: sweep.csv and summary.json.
+    """Write the bundle of one price sweep (SWEEP_FILES): sweep.csv and summary.json.
 
     A failed point keeps its row in sweep.csv, with `error` in every column
     but the parameter value; summary.json carries its error message, and

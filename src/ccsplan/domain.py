@@ -39,10 +39,6 @@ class Horizon:
     def years(self):
         return range(self.start_year, self.start_year + self.num_years)
 
-    def year_of(self, t: int) -> int:
-        """Calendar year of 1-based year index t."""
-        return self.start_year + t - 1
-
 
 @dataclass
 class Region:

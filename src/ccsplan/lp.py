@@ -1,4 +1,4 @@
-"""Sparse linear-program container, feasibility checking, and MPS export.
+"""Sparse linear-program container and feasibility checking.
 
 Minimisation sense throughout. All variable lower bounds are finite
 (non-negative in this artifact); upper bounds may be +inf.
@@ -209,42 +209,3 @@ def violated_rows(lp: LinearProgram, x: np.ndarray, tol: float) -> list:
     """Names of rows violated beyond tol at x (diagnostics helper)."""
     violated = np.flatnonzero(check_solution(lp, x).row_violation > tol)
     return [lp.rows.names[p] or f"row{p}" for p in violated]
-
-
-def _mps_name(raw: str, fallback: str) -> str:
-    name = "".join(ch if ch.isalnum() or ch in "_.[]" else "_" for ch in raw)
-    return name or fallback
-
-
-def to_mps(lp: LinearProgram, name: str = "CCSPLAN") -> str:
-    """Render the program in free-format MPS for cross-checks with other solvers."""
-    rows = lp.rows
-    row_names = [_mps_name(s, f"R{p}") for p, s in enumerate(rows.names)]
-    var_names = [_mps_name(lp.name_of(j), f"X{j}") for j in range(lp.num_vars)]
-    lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    tag = {LE: "L", GE: "G", EQ: "E"}
-    lines += [f" {tag[s]}  {rn}" for s, rn in zip(rows.sense, row_names)]
-
-    lines.append("COLUMNS")
-    C = rows.A.tocsc()
-    for j, vn in enumerate(var_names):
-        if lp.objective[j] != 0.0:
-            lines.append(f"    {vn}  COST  {lp.objective[j]:.17g}")
-        lo, hi = C.indptr[j], C.indptr[j + 1]
-        lines += [f"    {vn}  {row_names[p]}  {v:.17g}" for p, v in zip(C.indices[lo:hi], C.data[lo:hi])]
-
-    lines.append("RHS")
-    lines += [f"    RHS  {row_names[p]}  {rows.rhs[p]:.17g}" for p in np.flatnonzero(rows.rhs)]
-
-    lines.append("BOUNDS")
-    for j, vn in enumerate(var_names):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo == up:
-            lines.append(f" FX BND  {vn}  {lo:.17g}")
-            continue
-        if lo != 0.0:
-            lines.append(f" LO BND  {vn}  {lo:.17g}")
-        if np.isfinite(up):
-            lines.append(f" UP BND  {vn}  {up:.17g}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"

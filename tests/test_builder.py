@@ -18,7 +18,7 @@ from ccsplan.builder import (
     scenario_config,
 )
 from ccsplan.domain import Horizon, ValidationError
-from ccsplan.lp import LpSolution, Status, to_mps
+from ccsplan.lp import LpSolution, Status
 from ccsplan.simplex import solve
 
 from conftest import make_trade_instance, make_unit_instance
@@ -229,51 +229,3 @@ def test_toy_matrix_is_canonical_csr(toy_instance, sid):
     A = lp.matrix()
     assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
     assert A.shape == (len(lp.rows), lp.num_vars) == (len(lp.rhs()), 1452)
-
-
-def read_mps(text, var_names):
-    """The free-format MPS sections to_mps writes, read back into arrays."""
-    col = {name: j for j, name in enumerate(var_names)}
-    n = len(var_names)
-    row, senses = {}, []
-    objective, lower, upper = np.zeros(n), np.zeros(n), np.full(n, np.inf)
-    ri, ci, vals, rhs = [], [], [], {}
-    section = None
-    for line in text.splitlines():
-        if not line.startswith(" "):
-            section = line.split()[0]
-            continue
-        f = line.split()
-        if section == "ROWS" and f[1] != "COST":
-            row[f[1]] = len(senses)
-            senses.append({"L": "<=", "G": ">=", "E": "="}[f[0]])
-        elif section == "COLUMNS" and f[1] == "COST":
-            objective[col[f[0]]] = float(f[2])
-        elif section == "COLUMNS":
-            ri.append(row[f[1]])
-            ci.append(col[f[0]])
-            vals.append(float(f[2]))
-        elif section == "RHS":
-            rhs[row[f[1]]] = float(f[2])
-        elif section == "BOUNDS":
-            j, v = col[f[2]], float(f[3])
-            if f[0] in ("FX", "LO"):
-                lower[j] = v
-            if f[0] in ("FX", "UP"):
-                upper[j] = v
-    m = len(senses)
-    A = sp.csr_matrix((vals, (ri, ci)), shape=(m, n))
-    b = np.zeros(m)
-    b[list(rhs)] = list(rhs.values())
-    return A, b, senses, objective, lower, upper
-
-
-def test_mps_round_trips_toy_program(toy_instance):
-    lp, _ = assemble(toy_instance, scenario_config(2, objective_mode=COST_ONLY))
-    A, b, senses, objective, lower, upper = read_mps(to_mps(lp), lp.var_names)
-    assert len(senses) == 210
-    for got, want in ((A.indptr, lp.matrix().indptr), (A.indices, lp.matrix().indices),
-                      (A.data, lp.matrix().data), (b, lp.rhs()), (objective, lp.objective),
-                      (lower, lp.lower), (upper, lp.upper)):
-        np.testing.assert_array_equal(got, want)
-    assert senses == [r.sense for r in lp.rows]

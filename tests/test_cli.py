@@ -311,18 +311,21 @@ SOLVING_COMMANDS = {
 }
 
 
+def _forbid_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite an unusable --out")
+
+    for name in ("run_scenario", "run_all", "sweep"):
+        monkeypatch.setattr(engine, name, no_solve)
+
+
 @pytest.mark.parametrize("command", list(SOLVING_COMMANDS.values()))
 @pytest.mark.parametrize("under", ["", "sub"])
 def test_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch, command, under):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = str(afile / under) if under else str(afile)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved despite an unusable --out")
-
-    for name in ("run_scenario", "run_all", "sweep"):
-        monkeypatch.setattr(engine, name, no_solve)
+    _forbid_solves(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         main([*command, "--data", DATA, "--out", out])
     assert exc.value.code == 1
@@ -353,17 +356,26 @@ def _touch(path):
                  "plotdata", _touch, id="solve-plotdata-file"),
     pytest.param(["solve", "--data", DATA, "--scenario", "1", "--objective", "cost", "--out", "{d}"],
                  "summary.json", _mkdir, id="solve-summary-dir"),
+    pytest.param(["run-all", "--data", DATA, "--objective", "cost", "--out", "{d}"],
+                 "s2/plotdata", _touch, id="run-all-s2-plotdata-file"),
     pytest.param(["sweep", "--data", DATA, "--scenario", "1", "--param", "carbon-price",
                   "--from", "10000", "--to", "10000", "--steps", "1", "--out", "{d}"],
                  "sweep.csv", _mkdir, id="sweep-csv-dir"),
     pytest.param(["report", "--results", "{d}"], "summary.json", _mkdir, id="report-summary-dir"),
 ])
-def test_blocked_bundle_file_is_one_error_line(tmp_path, capsys, argv, blocked, make):
+def test_blocked_bundle_file_is_one_error_line(tmp_path, capsys, monkeypatch, argv, blocked, make):
+    _forbid_solves(monkeypatch)
     make(tmp_path / "b" / blocked)
-    assert main([a.replace("{d}", str(tmp_path / "b")) for a in argv]) == 1
-    err = capsys.readouterr().err
+    try:
+        code = main([a.replace("{d}", str(tmp_path / "b")) for a in argv])
+    except SystemExit as exc:  # the solving commands stop before loading the dataset
+        code = exc.code
+    assert code == 1
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / "b" / blocked) in err
+    assert out == ""
+    assert not (tmp_path / "b" / "s1").exists()
 
 
 def test_solving_commands_share_their_arguments():
@@ -516,6 +528,18 @@ def test_report_rejects_a_sweep_bundle_and_bad_json(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {out / 'summary.json'}: not the summary of a solved scenario (KeyError: 'payback_year')\n"
     )
+    solved = tmp_path / "solved"
+    main(["solve", "--data", DATA, "--scenario", "1", "--objective", "cost", "--out", str(solved)])
+    capsys.readouterr()
+    summary = json.loads((solved / "summary.json").read_text())
+    for shares, error in (({"solar": 1.0}, "KeyError: 'wind'"),
+                          ({"solar": "x", "wind": 1.0, "ccs": 1.0}, "ValueError: ")):
+        (solved / "summary.json").write_text(json.dumps({**summary, "shares_pct": shares}))
+        assert main(["report", "--results", str(solved)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: {solved / 'summary.json'}: not the summary of a solved scenario ({error}")
+        assert err.count("\n") == 1
     (out / "summary.json").write_text("{")
     assert main(["report", "--results", str(out)]) == 1
     assert capsys.readouterr().err.startswith(

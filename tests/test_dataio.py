@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ccsplan.builder import COST_ONLY, DeploymentPlan, scenario_config
 from ccsplan.dataio import (
+    RESULT_FILES,
+    SWEEP_FILES,
     DataError,
     _fmt,
     _fmt_column,
@@ -220,6 +222,20 @@ def test_summary_contents(unit_bundle):
     raw = (out / "summary.json").read_text()
     keys = [line.split('"')[1] for line in raw.splitlines() if line.startswith('  "')]
     assert keys == sorted(keys)
+
+
+def _written(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def test_bundle_writers_write_the_declared_files(unit_bundle, tmp_path):
+    # the CLI checks these paths under --out before it solves
+    _, out = unit_bundle
+    assert _written(out) == sorted(RESULT_FILES)
+    result = SweepResult(config=scenario_config(1), parameter="carbon_price", grid=[1.0],
+                         points=[SweepPoint(value=1.0, error="infeasible")], threshold=None, monotone=True)
+    write_sweep(result, tmp_path / "sweep", 1)
+    assert _written(tmp_path / "sweep") == sorted(SWEEP_FILES)
 
 
 def test_write_results_is_byte_stable(tmp_path, unit_instance):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution, to_mps, violated_rows
+from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution, violated_rows
 
 
 def small_lp(**first_row):
@@ -69,24 +69,6 @@ def test_check_solution_bound_violations():
 def test_check_solution_shape_guard():
     with pytest.raises(ValueError, match="expected"):
         check_solution(small_lp(), np.zeros(3))
-
-
-def test_mps_render_contains_all_sections():
-    lp = small_lp()
-    lp.lower = np.array([0.0, 1.0])
-    lp.upper = np.array([np.inf, 1.0])
-    text = to_mps(lp, name="TINY")
-    for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert " L  sum" in text
-    assert " FX BND  b  1" in text
-    assert text == to_mps(lp, name="TINY")  # deterministic
-
-
-def test_mps_sanitises_row_names():
-    lp = small_lp(name="cap[2018] %")
-    text = to_mps(lp)
-    assert "cap[2018]__" in text
 
 
 @pytest.mark.parametrize(
