@@ -17,7 +17,12 @@
 # too. The sets are written to
 # OUT/parent/<set> and OUT/change/<set>, each with the CLI's stdout, stderr and
 # exit code (sets left in OUT by an earlier call are removed first), then
-# compared with `diff -rq`.
+# compared with `diff -rq`. In stdout and stderr, the side's directory
+# (OUT/parent or OUT/change, as given and as an absolute path) is replaced by
+# the placeholder <side-dir>, so that a path the CLI prints compares equal.
+# When some sets differ, each such set's numeric summary.json fields are
+# listed with their largest relative difference over the set's summaries
+# (list entries, such as sweep points, count as one field).
 # Exit status: 0 when every file is byte-identical, 1 when some differ.
 set -euo pipefail
 
@@ -45,6 +50,69 @@ run() {
     PYTHONPATH="$root/src" PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
         python3 -m ccsplan.cli "$@" "${out[@]}" >"$dir/stdout.txt" 2>"$dir/stderr.txt" || code=$?
     echo "$code" >"$dir/exit_code.txt"
+    python3 - "$OUT/$side" "$dir/stdout.txt" "$dir/stderr.txt" <<'PY'
+import os, sys
+side, *paths = sys.argv[1:]
+forms = sorted({side, os.path.abspath(side), os.path.realpath(side)}, key=len, reverse=True)
+for path in paths:
+    with open(path, "rb") as fh:
+        text = fh.read()
+    for form in forms:  # longest first: a relative form is a tail of the absolute one
+        text = text.replace(os.fsencode(form), b"<side-dir>")
+    with open(path, "wb") as fh:
+        fh.write(text)
+PY
+}
+
+# summary_diffs OUT: the largest relative difference of each numeric
+# summary.json field, per set whose files differ
+summary_diffs() {
+    python3 - "$1" <<'PY'
+import json, sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+
+
+def files(d):
+    return {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
+def fields(node, key="", field=""):
+    """(key with list positions, key without them, value) of each number."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from fields(v, f"{key}.{k}" if key else k, f"{field}.{k}" if field else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from fields(v, f"{key}[{i}]", f"{field}[]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield key, field, float(node)
+
+
+def rel(a, b):
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+for parent in sorted(p for p in (out / "parent").iterdir() if p.is_dir()):
+    change = out / "change" / parent.name
+    if files(parent) == files(change):
+        continue
+    worst = {}
+    for path in sorted(parent.rglob("summary.json")):
+        twin = change / path.relative_to(parent)
+        if not twin.is_file():
+            continue
+        theirs = {key: v for key, _, v in fields(json.loads(twin.read_text(encoding="utf-8")))}
+        for key, field, v in fields(json.loads(path.read_text(encoding="utf-8"))):
+            if key in theirs:
+                worst[field] = max(worst.get(field, 0.0), rel(v, theirs[key]))
+    print(f"{parent.name}: " + ("largest relative difference per summary.json field" if worst else "no summary.json to compare"))
+    for field, d in sorted(worst.items()):
+        print(f"  {field:32s} {d:.3g}")
+PY
 }
 
 side() {
@@ -85,5 +153,6 @@ side "$2" change
 if diff -rq "$OUT/parent" "$OUT/change"; then
     echo "all bundle sets are byte-identical"
 else
+    summary_diffs "$OUT"
     exit 1
 fi

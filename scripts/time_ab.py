@@ -6,17 +6,24 @@ Each checkout's src/ccsplan is imported under its own package name, with one
 BLAS thread unless OPENBLAS_NUM_THREADS is set. Both sides read
 CHANGE_ROOT's bundled toy-nation and the 40-region nation (160 series files)
 that CHANGE_ROOT's perfbench/gen_bau.py writes for seed 1 into a temporary
-directory. Neither checkout is written to. Six cases:
+directory. Neither checkout is written to. Eight cases:
 
 - load: 40 `load_validated` calls per side, on toy-nation and on gen_bau;
 - write: 20 calls per side that write the four scenario bundles of one
   `run-all` (s1..s4, as the CLI does) into the temporary directory, for cost
   mode on gen_bau and max-reduction mode on toy-nation; each side solves each
   case once with its own program;
+- run_all: 10 `engine.run_all` calls per side, in max-reduction mode on
+  toy-nation and in cost mode on gen_bau;
 - sweep: 20 `engine.sweep` calls per side over the CLI's 16-point
   carbon-price grid (10,000 to 250,000) for scenario 1 of toy-nation, in cost
-  and in max-reduction mode, after checking that both sides give the same
-  points (exit 1 if they differ).
+  and in max-reduction mode.
+
+Before a run_all or sweep case is timed, both sides' results are compared
+with the golden file's tolerances: every scenario or point fails on both
+sides with the same error, or succeeds on both with reduction_pct within
+1e-6 (absolute) and objectives within 1e-9 (relative). Beyond them the
+script exits 1.
 
 Each case makes one warm-up call per side, then alternates which side goes
 first in each pair of timed calls, and prints the min and median in
@@ -71,6 +78,31 @@ def _sweep_points(pkg, instance, config) -> list:
     return [(p.reduction_pct, p.objective_value, p.error) for p in result.points]
 
 
+def _run_all_outcomes(pkg, instance, mode) -> list:
+    out = pkg.engine.run_all(instance, objective_mode=mode)
+    return [(r.reduction_pct, r.objective_value, None) if isinstance(r, pkg.engine.ScenarioResult)
+            else (None, None, str(r)) for _, r in sorted(out.items())]
+
+
+def _agree(a: list, b: list) -> bool:
+    """Whether two lists of (reduction_pct, objective, error) agree within the
+    golden file's tolerances."""
+    def close(p, q):
+        if p[2] is not None or q[2] is not None:
+            return p[2] == q[2]
+        return abs(p[0] - q[0]) <= 1e-6 and abs(p[1] - q[1]) <= 1e-9 * max(abs(p[1]), abs(q[1]))
+    return len(a) == len(b) and all(close(p, q) for p, q in zip(a, b))
+
+
+def _time_checked(label: str, calls: int, fns: dict) -> bool:
+    """`_time` after checking that both sides' results agree (see `_agree`)."""
+    if not _agree(fns["parent"](), fns["change"]()):
+        print(f"{label}: the two checkouts give different results", file=sys.stderr)
+        return False
+    _time(label, calls, fns)
+    return True
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print("usage: time_ab.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
@@ -97,13 +129,18 @@ def main(argv) -> int:
                 fns[side] = partial(_write_all, pkg.dataio, solved, Path(tmp) / side)
             _time(label, 20, fns)
 
+        for label, data, mode in (("run_all toy-nation lex", toy, "max_reduction_lex"),
+                                  ("run_all gen_bau cost", bau, "cost_only")):
+            fns = {side: partial(_run_all_outcomes, pkg, pkg.load_validated(data), mode)
+                   for side, pkg in sides.items()}
+            if not _time_checked(label, 10, fns):
+                return 1
+
         for label, mode in (("sweep cp16 cost", "cost_only"), ("sweep cp16 lex", "max_reduction_lex")):
             fns = {side: partial(_sweep_points, pkg, pkg.load_validated(toy),
                                  pkg.scenario_config(1, objective_mode=mode)) for side, pkg in sides.items()}
-            if fns["parent"]() != fns["change"]():
-                print(f"{label}: the two checkouts give different sweep points", file=sys.stderr)
+            if not _time_checked(label, 20, fns):
                 return 1
-            _time(label, 20, fns)
     return 0
 
 

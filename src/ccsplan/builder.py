@@ -2,7 +2,8 @@
 
 Variable blocks, in order: RE installs ordered (t, i, k); local storage
 CCS_s ordered (t, i in V_s); traded storage CCS_b ordered (t, j in V_b,
-i in V_s). Objective coefficients fold the whole-horizon cashflow of each
+i in V_s), numbered only with the emission floor (see `assemble`).
+Objective coefficients fold the whole-horizon cashflow of each
 decision into a single per-variable cost; constraints are the national cap
 rows (with the emission recursion telescoped and constants moved to the
 right-hand side), storage-capacity rows, renewable-potential rows, and the
@@ -67,9 +68,11 @@ class VariableIndex:
     names are built on first use, so a run that reads none of them (every
     successful solve) never builds them: only error messages do."""
 
-    def __init__(self, instance: ModelInstance):
+    def __init__(self, instance: ModelInstance, traded: bool = True):
         n, K, T = instance.n, NUM_TECH, instance.T
-        sellers, buyers = instance.sellers, instance.buyers
+        sellers = instance.sellers
+        # the buyers with traded columns: none when `traded` is off
+        self.buyers = buyers = instance.buyers if traded else instance.buyers[:0]
         ns, nb = len(sellers), len(buyers)
         # each block is numbered year-major, in the order of the module docstring
         self.re = np.arange(T * n * K).reshape(T, n, K).transpose(1, 2, 0).copy()
@@ -91,7 +94,7 @@ class VariableIndex:
     @cached_property
     def names(self) -> list:
         instance = self._instance
-        sellers, buyers = instance.sellers, instance.buyers
+        sellers, buyers = instance.sellers, self.buyers
         # names are built per block as a small prefix array plus the year
         # suffix, so that only the last concatenation spans the whole block
         year = "][" + np.array(instance.horizon.years).astype(str)[:, None, None] + "]"
@@ -132,7 +135,7 @@ def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray
         c[index.re] = instance.rp - cp * instance.g - instance.h[:, :, None] * tail
         c[index.ccs_s[instance.sellers]] = ccsp
         # a tonne bought by j from i pays capture, transport over d(j, i) and i's fee
-        pairs = np.ix_(instance.buyers, instance.sellers)
+        pairs = np.ix_(index.buyers, instance.sellers)
         c[index.ccs_b[pairs]] = ccsp + gt * instance.distance_km[pairs][:, :, None] + cp
     return c
 
@@ -239,8 +242,13 @@ def build_constraints(instance: ModelInstance, config: ScenarioConfig, index: Va
 
 
 def assemble(instance: ModelInstance, config: ScenarioConfig):
-    """LinearProgram plus its variable index for a scenario configuration."""
-    index = VariableIndex(instance)
+    """LinearProgram plus its variable index for a scenario configuration.
+
+    Without the emission floor the program has no traded-CCS columns: a
+    traded tonne has the rows of the seller's local tonne, bar the floor
+    rows, at a cost higher by cp + gt * distance >= 0, so moving it to local
+    storage never costs more and dropping the block keeps the optimum."""
+    index = VariableIndex(instance, traded=config.nonneg_emissions)
     upper = np.full(index.num_vars, np.inf)
     upper[index.re[instance.potential <= 0]] = 0.0
     lp = LinearProgram(

@@ -167,6 +167,7 @@ def _solve_assembled(
         stats["stage1_offset_t"] = max_offset
         stats["stage1_iterations"] = sol1.iterations
         stats["stage1_warm_start"] = sol1.warm_start
+        stats["stage1_crash_start"] = sol1.crash_start
     elif config.objective_mode == COST_ONLY:
         sol = first = solve(lp, start)
         _raise_for_status(lp, sol)
@@ -185,6 +186,7 @@ def _solve_assembled(
         factorizations=sol.factorizations,
         phase1_iterations=sol.phase1_iterations,
         warm_start=sol.warm_start,
+        crash_start=sol.crash_start,
         clamped=plan.clamped,
     )
     return ScenarioResult(

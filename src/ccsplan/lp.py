@@ -171,6 +171,9 @@ class LpSolution:
     # ran from the given start (with phase 1 if it had an artificial); False
     # when the start was unusable or lost to a feasible all-slack start
     warm_start: bool = False
+    # ran from the crash basis: no usable start was given, and the crash basis
+    # had a structural and did not lose to a feasible all-slack start
+    crash_start: bool = False
 
 
 @dataclass

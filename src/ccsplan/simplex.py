@@ -25,11 +25,12 @@ of BLAS threads. Deterministic: identical inputs give bit-identical output.
 Every solve starts from a basis through `_start`: the given `start` (the
 `LpSolution.basis` of an earlier solve of a program with the same columns,
 its rows' slack statuses carried over and any new row's slack basic) if it
-is usable, else the all-slack basis, which is the cold start. A basic slack
-outside its bounds gets an artificial on its row, and phase 1 runs whenever
-there is one; otherwise phase 2 runs from the start, on the LU factorisation
-made to check it. A given start that needs phase 1 loses to an all-slack
-basis that is already feasible. At an optimum, an artificial still basic (at
+is usable, else the triangular crash basis of `_crash`, which is the cold
+start, else the all-slack basis. A basic slack outside its bounds gets an
+artificial on its row, and phase 1 runs whenever there is one; otherwise
+phase 2 runs from the start, on the LU factorisation made to check it. A
+given start or a crash basis that needs phase 1 loses to an all-slack basis
+that is already feasible. At an optimum, an artificial still basic (at
 zero) gives its place in the returned basis to its row's slack, so an
 optimal solve always returns a basis to start a later solve from.
 
@@ -291,6 +292,33 @@ def _start(A, b, lb, ub, start):
     return A, lb, ub, basis, vstat, x, lu
 
 
+def _crash(A, c, ub, n):
+    """A triangular crash basis (Bixby 1992; Maros 2003, ch. 9) over the
+    standard form `A` (n structurals, then m slacks), or None when it has no
+    structural. Rows are visited in order; a row's candidates are the
+    structurals j with a_rj > 0, c_j < 0, ub_j infinite and no entry in a row
+    already given a structural. The candidate of least c_j / a_rj (the first
+    in CSR order on a tie) becomes basic in place of the row's slack, and
+    every column with an entry in the row is blocked. Each chosen column has
+    no entry in the rows chosen before it, so the basis matrix is lower
+    triangular with a positive diagonal, up to a permutation."""
+    m = A.shape[0]
+    R = A[:, :n].tocsr()
+    row = np.repeat(np.arange(m), np.diff(R.indptr))
+    ok = (R.data > 0) & (c < 0)[R.indices] & np.isinf(ub[R.indices])
+    vstat = np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
+    blocked = np.zeros(n, dtype=bool)
+    for r in np.unique(row[ok]):  # the rows with a candidate before any is blocked
+        lo, hi = R.indptr[r], R.indptr[r + 1]
+        cols = R.indices[lo:hi]
+        cand = np.flatnonzero(ok[lo:hi] & ~blocked[cols])
+        if cand.size:
+            vstat[cols[cand[np.argmin(c[cols[cand]] / R.data[lo + cand])]]] = BASIC
+            vstat[n + r] = AT_LOWER
+            blocked[cols] = True
+    return vstat if (vstat[:n] == BASIC).any() else None
+
+
 _FORMS = weakref.WeakKeyDictionary()  # Rows -> what _standard_form returns
 
 
@@ -325,11 +353,13 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
 
     `start` is a basis to run from, as in `LpSolution.basis`: one status per
     structural and slack variable. An unusable start (see `_start`) falls
-    back to the cold start, the all-slack basis, and so does a start that
-    needs phase 1 when the all-slack basis is feasible (tested on the scaled
-    b - A lb against the slack bounds, with no factorisation). `warm_start`
-    in the result says whether the solve ran from `start`; phase 1 runs from
-    either start if a basic slack lies outside its bounds.
+    back to the cold start, the crash basis (see `_crash`), and so does a
+    start that needs phase 1 when the all-slack basis is feasible (tested on
+    the scaled b - A lb against the slack bounds, with no factorisation). The
+    crash basis falls back to the all-slack basis by the same rules.
+    `warm_start` in the result says whether the solve ran from `start`,
+    `crash_start` whether it ran from the crash basis; phase 1 runs from any
+    start if a basic slack lies outside its bounds.
 
     `basis` in the result is None unless the status is Optimal; an
     artificial left basic at zero is replaced there by its row's slack,
@@ -346,14 +376,21 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     lb_all = np.concatenate([lb, np.zeros(m)])
     ub_all = np.concatenate([ub, np.where(lp.rows.sense == EQ, 0.0, np.inf)])
 
-    init = None if start is None else _start(A_std, bs, lb_all, ub_all, start)
-    if init is not None and init[0].shape[1] > n + m:
-        # the start needs phase 1; the all-slack start wins if it does not
-        s = (bs - A_std @ lb_all) * sign  # the slacks' lower bounds are 0
-        if ((s >= -FEAS_TOL) & (s <= ub_all[n:] + FEAS_TOL)).all():
-            init = None
+    s = (bs - A_std @ lb_all) * sign  # the slacks' values at the all-slack basis
+    slack_feasible = ((s >= -FEAS_TOL) & (s <= ub_all[n:] + FEAS_TOL)).all()
+
+    def usable(basis):
+        # a start that needs phase 1 loses to an all-slack basis that does not
+        got = None if basis is None else _start(A_std, bs, lb_all, ub_all, basis)
+        return None if got is not None and got[0].shape[1] > n + m and slack_feasible else got
+
+    init = usable(start)
     warm_start = init is not None
-    if not warm_start:
+    crash_start = False
+    if init is None:
+        init = usable(_crash(A_std, c_struct, ub, n))
+        crash_start = init is not None
+    if init is None:
         slack_basis = np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
         init = _start(A_std, bs, lb_all, ub_all, slack_basis)
     A_std, lb_all, ub_all, basis, vstat, x, lu = init
@@ -384,6 +421,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             bland_iterations=loop.bland_iters,
             basis=final,
             warm_start=warm_start,
+            crash_start=crash_start,
         )
 
     phase1_iterations = 0

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ccsplan.domain import (
 from ccsplan.engine import run_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "toy_nation.json"
+GEN_BAU_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen_bau.py"
 
 
 def make_unit_instance(cap=50.0, ccs_capacity=30.0):
@@ -84,6 +86,15 @@ def unit_instance():
 @pytest.fixture(scope="session")
 def toy_instance():
     return load_validated(toy_nation_path())
+
+
+@pytest.fixture(scope="session")
+def bau_instance(tmp_path_factory):
+    """The benchmark's 40-region nation without a cap (`gen_bau`, seed 1)."""
+    spec = importlib.util.spec_from_file_location("gen_bau", GEN_BAU_PATH)
+    gen_bau = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_bau)
+    return load_validated(gen_bau.generate(toy_nation_path(), tmp_path_factory.mktemp("gen_bau") / "bau", 1))
 
 
 @pytest.fixture(scope="session")

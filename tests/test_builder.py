@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ccsplan import builder
 from ccsplan.builder import (
     CCS_CLAMP,
     COST_ONLY,
@@ -225,7 +228,31 @@ def test_extract_plan_matches_the_dense_reference(any_instance, seed):
 
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_toy_matrix_is_canonical_csr(toy_instance, sid):
-    lp, _ = assemble(toy_instance, scenario_config(sid, objective_mode=COST_ONLY))
-    A = lp.matrix()
-    assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
-    assert A.shape == (len(lp.rows), lp.num_vars) == (len(lp.rhs()), 1452)
+    # the 693 traded-CCS columns are numbered only with the emission floor
+    for floor, num_vars in ((False, 759), (True, 1452)):
+        lp, _ = assemble(toy_instance, scenario_config(sid, objective_mode=COST_ONLY, nonneg_emissions=floor))
+        A = lp.matrix()
+        assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
+        assert A.shape == (len(lp.rows), lp.num_vars) == (len(lp.rhs()), num_vars)
+
+
+@pytest.mark.parametrize("nation", ["toy", "bau"])
+def test_dropping_the_trade_block_keeps_the_optima(request, nation, monkeypatch):
+    # without the floor a traded tonne costs no less than the seller's local
+    # one in the same rows, so the program without traded columns has the
+    # optima of the full one, in cost mode and in lex stage 1
+    inst = request.getfixturevalue(f"{nation}_instance")
+    reduced = {sid: assemble(inst, scenario_config(sid)) for sid in (1, 2, 3, 4)}
+    monkeypatch.setattr(builder, "VariableIndex", lambda instance, traded: VariableIndex(instance))
+    for sid, (lp, index) in reduced.items():
+        full, full_index = assemble(inst, scenario_config(sid))
+        assert (index.ccs_b < 0).all() and len(index.buyers) == 0
+        assert lp.num_vars == full.num_vars - len(inst.buyers) * len(inst.sellers) * inst.T
+        stage1 = (replace(lp, objective=-offset_vector(inst, index)),
+                  replace(full, objective=-offset_vector(inst, full_index)))
+        for small, big in ((lp, full), stage1):
+            got, want = solve(small), solve(big)
+            assert got.status == want.status == Status.OPTIMAL
+            assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+        plan = extract_plan(got, index)
+        assert plan.ccs_traded.shape == (inst.n, inst.n, inst.T) and not plan.ccs_traded.any()

@@ -8,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsplan import engine, simplex
-from ccsplan.builder import CCS_CLAMP, COST_ONLY, MAX_REDUCTION_LEX, VariableIndex, offset_vector, scenario_config
+from ccsplan.builder import (
+    CCS_CLAMP,
+    COST_ONLY,
+    MAX_REDUCTION_LEX,
+    VariableIndex,
+    assemble,
+    offset_vector,
+    scenario_config,
+)
 from ccsplan.engine import (
     LEX_EPS,
     InfeasibleModelError,
@@ -254,13 +262,19 @@ def test_nan_in_program_is_recorded_per_sweep_point():
 def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
     # only the programs handed to the solver matter here, so a stub stands in
     # for it: stage 1 "reaches" an offset of 1 t, stage 2 returns all ones
-    programs = []
+    programs, indices = [], []
 
     def stub(lp, start=None):
         programs.append(lp)
         return LpSolution(Status.OPTIMAL, np.ones(lp.num_vars), -1.0, 0, 0.0)
 
+    def spy(instance, config):
+        lp, index = assemble(instance, config)
+        indices.append(index)
+        return lp, index
+
     monkeypatch.setattr(engine, "solve", stub)
+    monkeypatch.setattr(engine, "assemble", spy)
     run_scenario(toy_instance, scenario_config(sid, objective_mode=MAX_REDUCTION_LEX))
     lp1, lp2 = programs
     m = len(lp1.rows)
@@ -272,7 +286,8 @@ def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
     np.testing.assert_array_equal(lp2.rhs()[:m], lp1.rhs())
     np.testing.assert_array_equal(lp2.rows.sense[:m], lp1.rows.sense)
     assert lp2.rows.names[:m] == lp1.rows.names
-    off = offset_vector(toy_instance, VariableIndex(toy_instance))
+    (index,) = indices
+    off = offset_vector(toy_instance, index)
     *_, lex = lp2.rows
     assert (lex.name, lex.sense, lex.rhs) == ("lex_reduction", ">=", 1.0 * (1.0 - LEX_EPS))
     np.testing.assert_array_equal(lex.idx, np.flatnonzero(off))
@@ -294,6 +309,16 @@ def test_start_seeds_the_first_solve(toy_instance, toy_results_cost):
     assert warm.solve_stats["warm_start"] and warm.solve_stats["iterations"] == 0
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
     np.testing.assert_array_equal(warm.basis, cold.basis)
+
+
+def test_floor_on_start_falls_back_to_the_cold_start(toy_instance, toy_results_cost):
+    # the floor-on basis covers the traded columns, which the floor-off program lacks
+    floored = run_scenario(toy_instance, scenario_config(1, nonneg_emissions=True))
+    got = run_scenario(toy_instance, scenario_config(1), start=floored)
+    cold = toy_results_cost[1]
+    assert not got.solve_stats["warm_start"] and floored.basis.size > cold.basis.size
+    assert got.objective_value == cold.objective_value
+    assert got.solve_stats["iterations"] == cold.solve_stats["iterations"]
 
 
 @pytest.mark.parametrize(

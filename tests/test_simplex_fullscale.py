@@ -1,8 +1,10 @@
-"""Full-scale solver checks on toy-nation (1,452 variables), beyond the reach
-of the vertex-enumeration oracle: agreement with HiGHS, agreement between
-the eta-file path and a fresh LU factorisation on every pivot, and agreement
-between warm-started solves (lex stage 2, sweep points) and cold ones, and
-results that do not depend on the number of BLAS threads."""
+"""Full-scale solver checks on toy-nation (759 variables, 1,452 with the
+emission floor) and the 40-region `gen_bau`, beyond the reach of the
+vertex-enumeration oracle: agreement with HiGHS, agreement between the
+eta-file path and a fresh LU factorisation on every pivot, agreement between
+warm-started solves (lex stage 2, sweep points) and cold ones, the crash
+basis and its fallback, and results that do not depend on the number of BLAS
+threads."""
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.linalg import splu
 
 from ccsplan import engine, simplex
 from ccsplan.builder import COST_ONLY, MAX_REDUCTION_LEX, assemble, offset_vector, scenario_config
@@ -138,16 +141,78 @@ def test_cold_cost_s1_needs_few_iterations(toy_instance):
     assert sol.iterations < 600
 
 
-def test_cold_start_is_the_slack_basis(toy_instance):
+def slack_basis(lp):
+    """The all-slack basis of `lp`, as a `start`."""
+    return np.r_[np.full(lp.num_vars, simplex.AT_LOWER), np.full(len(lp.rows), simplex.BASIC)]
+
+
+def test_cold_start_is_the_crash_basis(toy_instance):
+    # toy S2 needs phase 1 from either basis; the crash basis shortens both phases
     lp = toy_lp(toy_instance, 2)
     cold = solve(lp)
-    m = lp.matrix().shape[0]
-    slack = solve(lp, start=np.r_[np.full(lp.num_vars, simplex.AT_LOWER), np.full(m, simplex.BASIC)])
-    assert not cold.warm_start and slack.warm_start and cold.phase1_iterations > 0
-    np.testing.assert_array_equal(slack.x, cold.x)
-    assert (slack.iterations, slack.phase1_iterations, slack.factorizations) == (
-        cold.iterations, cold.phase1_iterations, cold.factorizations,
-    )
+    slack = solve(lp, start=slack_basis(lp))
+    assert cold.crash_start and not cold.warm_start
+    assert slack.warm_start and not slack.crash_start
+    assert (cold.iterations, cold.phase1_iterations) == (236, 139)
+    assert (slack.iterations, slack.phase1_iterations) == (375, 203)
+    assert cold.objective_value == pytest.approx(slack.objective_value, rel=1e-9)
+
+
+def crash_programs(instance):
+    """The cost-mode and lex stage-1 programs of S1-S4, floor off and on."""
+    for sid in (1, 2, 3, 4):
+        for floor in (False, True):
+            lp, index = assemble(instance, scenario_config(sid, nonneg_emissions=floor))
+            yield lp
+            yield replace(lp, objective=-offset_vector(instance, index))
+
+
+@pytest.mark.parametrize("nation", ["toy", "bau"])
+def test_crash_basis_is_triangular_and_nonsingular(request, nation):
+    for lp in crash_programs(request.getfixturevalue(f"{nation}_instance")):
+        n = lp.num_vars
+        rs, cs, sign, A, _ = simplex._standard_form(lp)
+        vstat = simplex._crash(A, lp.objective * cs, lp.upper / cs, n)
+        basic, rows = np.flatnonzero(vstat[:n] == simplex.BASIC), np.flatnonzero(vstat[n:] == simplex.AT_LOWER)
+        assert np.count_nonzero(vstat == simplex.BASIC) == len(rs) and len(basic) == len(rows) > 0
+        # each structural's row is the first chosen row it has an entry in;
+        # ordered so, the chosen rows and columns form a lower-triangular
+        # block with a positive diagonal, and the other rows keep their slacks
+        L = A[rows][:, basic].toarray()
+        order = np.argsort(np.argmax(L != 0, axis=0))
+        L = L[:, order]
+        assert (np.diag(L) > 0).all() and not np.triu(L, 1).any()
+        u = np.abs(splu(A[:, np.flatnonzero(vstat == simplex.BASIC)]).U.diagonal())
+        assert u.min() > 1e-10 * u.max()
+
+
+def test_crash_basis_loses_to_a_feasible_slack_start(bau_instance):
+    # gen_bau has no cap, so x = 0 is feasible, while its S2 crash basis
+    # violates mix rows and would need phase 1
+    lp, _ = assemble(bau_instance, scenario_config(2))
+    rs, cs, sign, A, _ = simplex._standard_form(lp)
+    crash = simplex._crash(A, lp.objective * cs, lp.upper / cs, lp.num_vars)
+    lb = np.r_[lp.lower / cs, np.zeros(len(rs))]
+    ub = np.r_[lp.upper / cs, np.where(lp.rows.sense == EQ, 0.0, np.inf)]
+    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash)[0].shape[1] > A.shape[1]
+    sol = solve(lp)
+    assert not sol.crash_start and not sol.warm_start
+    assert (sol.iterations, sol.phase1_iterations) == (68, 0)
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["no-floor", "floor"])
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX], ids=["cost", "lex"])
+@pytest.mark.parametrize("nation", ["toy", "bau"])
+def test_crash_and_slack_starts_reach_equal_objectives(request, nation, mode, floor, monkeypatch):
+    calls = record_solves(monkeypatch)
+    engine.run_all(request.getfixturevalue(f"{nation}_instance"), objective_mode=mode, nonneg_emissions=floor)
+    for lp, start, sol in calls:
+        assert sol.status == Status.OPTIMAL
+        if sol.crash_start:
+            assert start is None
+            slack = solve(lp, start=slack_basis(lp))
+            assert slack.warm_start and not slack.crash_start
+            assert sol.objective_value == pytest.approx(slack.objective_value, rel=1e-9)
 
 
 def record_solves(monkeypatch):
