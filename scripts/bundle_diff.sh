@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Write the same twenty CLI output sets from two checkouts and compare them.
+# Write the same twenty-one CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. Fifteen sets are result bundles (one `solve`, the others `run-all` and
+# seed 1. Sixteen sets are result bundles (one `solve`, the others `run-all` and
 # `sweep`, among them a carbon-price sweep whose highest prices overflow the
 # objective, so that failed points are compared too); three are `ccsplan
 # validate`, on each dataset and on toy-nation in the ASCII C locale with
@@ -146,6 +146,7 @@ side() {
     run "$root" "$side" bau-cost run-all --data "$bau" --objective cost
     run "$root" "$side" bau-cost-floor run-all --data "$bau" --objective cost "$FLOOR"
     run "$root" "$side" bau-lex run-all --data "$bau" --objective max-reduction
+    run "$root" "$side" bau-lex-floor run-all --data "$bau" --objective max-reduction "$FLOOR"
 }
 
 side "$1" parent

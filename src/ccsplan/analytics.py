@@ -130,5 +130,5 @@ class TradeMatrix:
 
 
 def trade_matrix(result: ScenarioResult) -> TradeMatrix:
-    total = float(result.plan.ccs_traded.sum())
+    total = result.plan.total_traded_t
     return TradeMatrix(any_trading=total > 0, total_traded_t=total)

@@ -121,6 +121,18 @@ class DeploymentPlan:
         """CCS_i(t): local storage for sellers, bought storage for buyers."""
         return self.ccs_local + self.ccs_traded.sum(axis=1)
 
+    @property
+    def total_re_gw(self) -> float:
+        return float(self.re_installed.sum())
+
+    @property
+    def total_ccs_t(self) -> float:
+        return float(self.ccs_local.sum() + self.ccs_traded.sum())
+
+    @property
+    def total_traded_t(self) -> float:
+        return float(self.ccs_traded.sum())
+
 
 def build_objective(instance: ModelInstance, index: VariableIndex) -> np.ndarray:
     g = instance.globals

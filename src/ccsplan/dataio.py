@@ -373,8 +373,8 @@ def write_results(result: ScenarioResult, out_path, scenario_id: int | None = No
         ),
         "any_trading": trades.any_trading,
         "total_traded_t": trades.total_traded_t,
-        "total_re_gw": float(plan.re_installed.sum()),
-        "total_ccs_t": float(plan.ccs_local.sum() + plan.ccs_traded.sum()),
+        "total_re_gw": plan.total_re_gw,
+        "total_ccs_t": plan.total_ccs_t,
         "cumulative_net_yen": float(cum[-1]),
     }
     _write_lines(out / "summary.json", [json.dumps(_round9(summary), indent=2, sort_keys=True)])

@@ -187,6 +187,9 @@ def validate_instance(raw: ModelInstance) -> ModelInstance:
     for r in raw.regions:
         if r.id in seen:
             errors.append(f"regions[{r.id}]: duplicate region id")
+        # bundles write ids as bare CSV cells; repr keeps a CR or LF off the error line
+        if any(ch in r.id for ch in ',"\r\n'):
+            errors.append(f"regions[{r.id!r}]: id contains a comma, double quote, CR or LF")
         seen.add(r.id)
 
     gp = raw.globals

@@ -166,8 +166,7 @@ def _solve_assembled(
             )
         stats["stage1_offset_t"] = max_offset
         stats["stage1_iterations"] = sol1.iterations
-        stats["stage1_warm_start"] = sol1.warm_start
-        stats["stage1_crash_start"] = sol1.crash_start
+        stats["stage1_started_from"] = sol1.started_from
     elif config.objective_mode == COST_ONLY:
         sol = first = solve(lp, start)
         _raise_for_status(lp, sol)
@@ -185,8 +184,7 @@ def _solve_assembled(
         max_primal_infeasibility=sol.max_primal_infeasibility,
         factorizations=sol.factorizations,
         phase1_iterations=sol.phase1_iterations,
-        warm_start=sol.warm_start,
-        crash_start=sol.crash_start,
+        started_from=sol.started_from,
         clamped=plan.clamped,
     )
     return ScenarioResult(
@@ -212,8 +210,8 @@ def run_all(
 
     S2 is S1 with the mix rows added and S4 is S3 with them, so S2 starts
     from S1's final basis and S4 from S3's (cold after a failed predecessor);
-    the first solve of S2 and S4 then reports `warm_start`, unless the
-    all-slack start is already feasible and wins (see `simplex.solve`)."""
+    the first solve of S2 and S4 then reports `started_from` "given", unless
+    it loses by the start rule of `simplex.solve`."""
     out = {}
     for sid in (1, 2, 3, 4):
         config = scenario_config(sid, objective_mode=objective_mode, nonneg_emissions=nonneg_emissions)
@@ -262,8 +260,7 @@ def sweep(instance: ModelInstance, config: ScenarioConfig, parameter: str, grid)
         plan = prev.plan
         points.append(SweepPoint(
             value, reduction_pct=prev.reduction_pct, objective_value=prev.objective_value,
-            any_trading=bool(plan.ccs_traded.sum() > 0), total_re_gw=float(plan.re_installed.sum()),
-            total_ccs_t=float(plan.ccs_local.sum() + plan.ccs_traded.sum()),
+            any_trading=plan.total_traded_t > 0, total_re_gw=plan.total_re_gw, total_ccs_t=plan.total_ccs_t,
         ))
 
     ok = [p for p in points if p.error is None]

@@ -168,12 +168,9 @@ class LpSolution:
     # at the final iterate (an artificial left basic counts as its row's
     # slack); None unless OPTIMAL
     basis: np.ndarray | None = None
-    # ran from the given start (with phase 1 if it had an artificial); False
-    # when the start was unusable or lost to a feasible all-slack start
-    warm_start: bool = False
-    # ran from the crash basis: no usable start was given, and the crash basis
-    # had a structural and did not lose to a feasible all-slack start
-    crash_start: bool = False
+    # the start the solve ran from, "given", "crash" or "slack" (see
+    # simplex.solve); None from a solver without starts
+    started_from: str | None = None
 
 
 @dataclass

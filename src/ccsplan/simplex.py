@@ -22,17 +22,12 @@ start a second thread (objective values are elementwise sums over the
 columns, not dot products), so the pivot path does not depend on the number
 of BLAS threads. Deterministic: identical inputs give bit-identical output.
 
-Every solve starts from a basis through `_start`: the given `start` (the
-`LpSolution.basis` of an earlier solve of a program with the same columns,
-its rows' slack statuses carried over and any new row's slack basic) if it
-is usable, else the triangular crash basis of `_crash`, which is the cold
-start, else the all-slack basis. A basic slack outside its bounds gets an
-artificial on its row, and phase 1 runs whenever there is one; otherwise
-phase 2 runs from the start, on the LU factorisation made to check it. A
-given start or a crash basis that needs phase 1 loses to an all-slack basis
-that is already feasible. At an optimum, an artificial still basic (at
-zero) gives its place in the returned basis to its row's slack, so an
-optimal solve always returns a basis to start a later solve from.
+Every solve runs from the first candidate basis that its start rule (see
+`solve`) accepts. A basic slack outside its bounds gets an artificial on its
+row, and phase 1 runs whenever there is one; otherwise phase 2 runs on the LU
+factorisation made to check the start. At an optimum, an artificial still
+basic (at zero) gives its place in the returned basis to its row's slack, so
+an optimal solve always returns a basis to start a later solve from.
 
 What depends on the rows only is built once per `Rows` object and kept as
 long as that object lives (`_standard_form`): the geometric scales, the
@@ -240,13 +235,14 @@ class _Loop:
             self.iters += 1
 
 
-def _start(A, b, lb, ub, start):
+def _start(A, b, lb, ub, start, phase1):
     """(A, lb, ub, basis, statuses, values, LU) to run the simplex from the
     basis `start` over the columns of `A` (n structurals, then m slacks), or
-    None when the start is unusable. Usable means one BASIC/AT_LOWER/AT_UPPER
+    None when the start (None too) is unusable. Usable means one BASIC/AT_LOWER/AT_UPPER
     status per column, exactly m BASIC, no AT_UPPER on an infinite bound, a
-    nonsingular basis matrix and every basic structural within FEAS_TOL of
-    its bounds; the all-slack basis always is.
+    nonsingular basis matrix, every basic structural within FEAS_TOL of its
+    bounds and, unless `phase1`, every basic slack within FEAS_TOL of its
+    bounds too; the all-slack basis with `phase1` always is.
 
     A basic slack further than FEAS_TOL outside its bounds, [0, inf) or
     [0, 0], leaves the basis at 0, and an artificial on its row carries the
@@ -273,8 +269,8 @@ def _start(A, b, lb, ub, start):
     xb = x[basis] = lu.solve(b - A @ x)
     pos = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ub[basis] + FEAS_TOL))
     slack = basis[pos]
-    if (slack < N - m).any():
-        return None  # a basic structural outside its bounds
+    if (slack < N - m).any() or (pos.size and not phase1):
+        return None  # a basic structural, or a slack without phase 1, outside its bounds
     if pos.size:  # `basis` is ascending, so the slacks' rows are in order
         k = len(pos)
         e = xb[pos] - lb[slack]
@@ -352,14 +348,13 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     violate rows, as `max_primal_infeasibility` reports.
 
     `start` is a basis to run from, as in `LpSolution.basis`: one status per
-    structural and slack variable. An unusable start (see `_start`) falls
-    back to the cold start, the crash basis (see `_crash`), and so does a
-    start that needs phase 1 when the all-slack basis is feasible (tested on
-    the scaled b - A lb against the slack bounds, with no factorisation). The
-    crash basis falls back to the all-slack basis by the same rules.
-    `warm_start` in the result says whether the solve ran from `start`,
-    `crash_start` whether it ran from the crash basis; phase 1 runs from any
-    start if a basic slack lies outside its bounds.
+    structural and slack variable. The start rule: the solve runs from the
+    first candidate that `_start` accepts, in order the given `start`, the
+    crash basis of `_crash` (built only if `start` is not taken) and the
+    all-slack basis. A candidate may need phase 1 only if the all-slack basis
+    does too (tested on the scaled b - A lb against the slack bounds, without
+    a factorisation), and the all-slack basis always may. `started_from` in
+    the result names the start: "given", "crash" or "slack".
 
     `basis` in the result is None unless the status is Optimal; an
     artificial left basic at zero is replaced there by its row's slack,
@@ -379,20 +374,15 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     s = (bs - A_std @ lb_all) * sign  # the slacks' values at the all-slack basis
     slack_feasible = ((s >= -FEAS_TOL) & (s <= ub_all[n:] + FEAS_TOL)).all()
 
-    def usable(basis):
-        # a start that needs phase 1 loses to an all-slack basis that does not
-        got = None if basis is None else _start(A_std, bs, lb_all, ub_all, basis)
-        return None if got is not None and got[0].shape[1] > n + m and slack_feasible else got
+    def candidates():
+        yield "given", start
+        yield "crash", _crash(A_std, c_struct, ub, n)
+        yield "slack", np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
 
-    init = usable(start)
-    warm_start = init is not None
-    crash_start = False
-    if init is None:
-        init = usable(_crash(A_std, c_struct, ub, n))
-        crash_start = init is not None
-    if init is None:
-        slack_basis = np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
-        init = _start(A_std, bs, lb_all, ub_all, slack_basis)
+    for started_from, candidate in candidates():
+        init = _start(A_std, bs, lb_all, ub_all, candidate, started_from == "slack" or not slack_feasible)
+        if init is not None:
+            break
     A_std, lb_all, ub_all, basis, vstat, x, lu = init
     n_art = A_std.shape[1] - n - m
     if n_art:  # the artificials' columns make a new A, and so a new A^T
@@ -420,8 +410,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             phase1_iterations=phase1_iterations,
             bland_iterations=loop.bland_iters,
             basis=final,
-            warm_start=warm_start,
-            crash_start=crash_start,
+            started_from=started_from,
         )
 
     phase1_iterations = 0

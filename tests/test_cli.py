@@ -179,6 +179,13 @@ def _append_byte_ff(name):
     return lambda data: (data / name).write_bytes((data / name).read_bytes() + b"\xff")
 
 
+def _comma_in_an_id(data):
+    # a quoted "aster,north" loads, but would shift every bundle row it names by a field
+    for name in ("regions.csv", "tech.csv"):
+        path = data / name
+        path.write_text(re.sub(r"(?m)^aster,", '"aster,north",', path.read_text()))
+
+
 def _no_regions(data):
     for name in ("regions.csv", "tech.csv"):  # header lines only
         header = (data / name).read_text().splitlines()[0]
@@ -218,6 +225,8 @@ def _no_regions(data):
         pytest.param(_edit_csv("regions.csv", "C0_tonnes", "1", repeat=True),
                      "regions.csv:3: repeated region id aster", DataError, id="region-id-repeated"),
         pytest.param(_no_regions, "regions: no region given", ValidationError, id="no-regions"),
+        pytest.param(_comma_in_an_id, "regions['aster,north']: id contains a comma", ValidationError,
+                     id="comma-in-region-id"),
         pytest.param(_append_byte_ff("regions.csv"), "regions.csv: not readable as UTF-8 CSV", DataError,
                      id="regions-not-utf8"),
         pytest.param(_append_byte_ff("series/g_solar_aster.csv"), "series/g_solar_aster.csv: not readable as UTF-8 CSV",

@@ -79,6 +79,16 @@ def test_validate_reports_duplicate_region_ids():
         validate_instance(inst)
 
 
+@pytest.mark.parametrize("rid", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_validate_rejects_an_id_that_breaks_a_csv_cell(rid):
+    # bundles write region ids as bare CSV cells
+    inst = make_unit_instance()
+    inst.regions[0].id = rid
+    with pytest.raises(ValidationError) as exc:
+        validate_instance(inst)
+    assert exc.value.errors == [f"regions[{rid!r}]: id contains a comma, double quote, CR or LF"]
+
+
 def test_validate_collects_multiple_errors():
     inst = make_unit_instance()
     inst.globals.cp = np.array([-1.0])

@@ -12,6 +12,7 @@ from ccsplan.builder import (
     CCS_CLAMP,
     COST_ONLY,
     MAX_REDUCTION_LEX,
+    DeploymentPlan,
     VariableIndex,
     assemble,
     offset_vector,
@@ -297,16 +298,16 @@ def test_lex_stage_two_appends_one_row(toy_instance, sid, monkeypatch):
 def test_lex_stage_two_starts_from_stage_one(toy_results_lex):
     for res in toy_results_lex.values():
         stats = res.solve_stats
-        assert not stats["stage1_warm_start"]
-        assert stats["warm_start"] and stats["phase1_iterations"] == 0
+        assert stats["stage1_started_from"] != "given"
+        assert stats["started_from"] == "given" and stats["phase1_iterations"] == 0
         assert res.basis is not None  # stage 1's, which a sweep point passes on
 
 
 def test_start_seeds_the_first_solve(toy_instance, toy_results_cost):
     cold = toy_results_cost[3]
     warm = run_scenario(toy_instance, scenario_config(3), start=cold)
-    assert not cold.solve_stats["warm_start"]
-    assert warm.solve_stats["warm_start"] and warm.solve_stats["iterations"] == 0
+    assert cold.solve_stats["started_from"] != "given"
+    assert warm.solve_stats["started_from"] == "given" and warm.solve_stats["iterations"] == 0
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
     np.testing.assert_array_equal(warm.basis, cold.basis)
 
@@ -316,7 +317,7 @@ def test_floor_on_start_falls_back_to_the_cold_start(toy_instance, toy_results_c
     floored = run_scenario(toy_instance, scenario_config(1, nonneg_emissions=True))
     got = run_scenario(toy_instance, scenario_config(1), start=floored)
     cold = toy_results_cost[1]
-    assert not got.solve_stats["warm_start"] and floored.basis.size > cold.basis.size
+    assert got.solve_stats["started_from"] != "given" and floored.basis.size > cold.basis.size
     assert got.objective_value == cold.objective_value
     assert got.solve_stats["iterations"] == cold.solve_stats["iterations"]
 
@@ -326,14 +327,14 @@ def test_floor_on_start_falls_back_to_the_cold_start(toy_instance, toy_results_c
 )
 def test_run_all_chains_s2_and_s4_to_the_cold_optimum(toy_instance, toy_results_cost, toy_results_lex, mode, nonneg):
     out = run_all(toy_instance, objective_mode=mode, nonneg_emissions=nonneg)
-    first = "stage1_warm_start" if mode == MAX_REDUCTION_LEX else "warm_start"
-    assert [out[sid].solve_stats[first] for sid in (1, 2, 3, 4)] == [False, True, False, True]
+    first = "stage1_started_from" if mode == MAX_REDUCTION_LEX else "started_from"
+    assert [out[sid].solve_stats[first] == "given" for sid in (1, 2, 3, 4)] == [False, True, False, True]
     for sid in (2, 4):
         if nonneg:
             cold = run_scenario(toy_instance, scenario_config(sid, objective_mode=mode, nonneg_emissions=True))
         else:
             cold = (toy_results_lex if mode == MAX_REDUCTION_LEX else toy_results_cost)[sid]
-        assert not cold.solve_stats[first]
+        assert cold.solve_stats[first] != "given"
         assert out[sid].objective_value == pytest.approx(cold.objective_value, rel=1e-9)
         assert out[sid].reduction_pct == pytest.approx(cold.reduction_pct, abs=1e-6)
 
@@ -367,7 +368,7 @@ def test_run_all_starts_cold_after_a_failed_predecessor(toy_instance, monkeypatc
     out = run_all(toy_instance)
     assert isinstance(out[1], ScenarioError)
     assert warm == [False, False, True]  # S2 cold, S3 cold, S4 from S3
-    assert not out[2].solve_stats["warm_start"] and out[4].solve_stats["warm_start"]
+    assert out[2].solve_stats["started_from"] != "given" and out[4].solve_stats["started_from"] == "given"
 
 
 def test_sweep_restarts_cold_after_a_failed_point(toy_instance, monkeypatch):
@@ -436,7 +437,7 @@ def test_sweep_threshold_and_monotone_skip_failed_points(reductions):
         pct = outcome[inst.globals.cp[0]]
         if pct is None:
             raise ScenarioError("stub failure")
-        plan = SimpleNamespace(ccs_traded=zeros, re_installed=zeros, ccs_local=zeros)
+        plan = DeploymentPlan(re_installed=zeros, ccs_local=zeros, ccs_traded=zeros)
         return SimpleNamespace(reduction_pct=pct, objective_value=-pct, plan=plan)
 
     with pytest.MonkeyPatch.context() as mp:

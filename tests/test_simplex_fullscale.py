@@ -3,12 +3,13 @@ emission floor) and the 40-region `gen_bau`, beyond the reach of the
 vertex-enumeration oracle: agreement with HiGHS, agreement between the
 eta-file path and a fresh LU factorisation on every pivot, agreement between
 warm-started solves (lex stage 2, sweep points) and cold ones, the crash
-basis and its fallback, and results that do not depend on the number of BLAS
-threads."""
+basis, the start and iterations of every solve of `run_all`, and results that
+do not depend on the number of BLAS threads."""
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,7 +138,7 @@ def test_cold_cost_s1_needs_few_iterations(toy_instance):
     # 1,204 iterations when Bland's rule took over after 100 iterations of a
     # phase, whether or not the objective was still falling
     sol = solve(toy_lp(toy_instance, 1))
-    assert sol.status == Status.OPTIMAL and not sol.warm_start
+    assert sol.status == Status.OPTIMAL and sol.started_from != "given"
     assert sol.iterations < 600
 
 
@@ -151,8 +152,8 @@ def test_cold_start_is_the_crash_basis(toy_instance):
     lp = toy_lp(toy_instance, 2)
     cold = solve(lp)
     slack = solve(lp, start=slack_basis(lp))
-    assert cold.crash_start and not cold.warm_start
-    assert slack.warm_start and not slack.crash_start
+    assert cold.started_from == "crash"
+    assert slack.started_from == "given"
     assert (cold.iterations, cold.phase1_iterations) == (236, 139)
     assert (slack.iterations, slack.phase1_iterations) == (375, 203)
     assert cold.objective_value == pytest.approx(slack.objective_value, rel=1e-9)
@@ -194,9 +195,10 @@ def test_crash_basis_loses_to_a_feasible_slack_start(bau_instance):
     crash = simplex._crash(A, lp.objective * cs, lp.upper / cs, lp.num_vars)
     lb = np.r_[lp.lower / cs, np.zeros(len(rs))]
     ub = np.r_[lp.upper / cs, np.where(lp.rows.sense == EQ, 0.0, np.inf)]
-    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash)[0].shape[1] > A.shape[1]
+    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash, True)[0].shape[1] > A.shape[1]
+    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash, False) is None
     sol = solve(lp)
-    assert not sol.crash_start and not sol.warm_start
+    assert sol.started_from == "slack"
     assert (sol.iterations, sol.phase1_iterations) == (68, 0)
 
 
@@ -208,10 +210,10 @@ def test_crash_and_slack_starts_reach_equal_objectives(request, nation, mode, fl
     engine.run_all(request.getfixturevalue(f"{nation}_instance"), objective_mode=mode, nonneg_emissions=floor)
     for lp, start, sol in calls:
         assert sol.status == Status.OPTIMAL
-        if sol.crash_start:
+        if sol.started_from == "crash":
             assert start is None
             slack = solve(lp, start=slack_basis(lp))
-            assert slack.warm_start and not slack.crash_start
+            assert slack.started_from == "given"
             assert sol.objective_value == pytest.approx(slack.objective_value, rel=1e-9)
 
 
@@ -228,16 +230,69 @@ def record_solves(monkeypatch):
     return calls
 
 
+# the start (C crash, G given, S slack) and the iterations of every solve of
+# run_all, in order (lex: stage 1, then stage 2, per scenario), as one BLAS
+# thread gives them; test_blas_thread_count_does_not_move_results checks that
+# more threads give the same pivots
+RUN_ALL_SOLVES = {
+    ("toy", COST_ONLY, False): "C59 G198 C30 G125",
+    ("toy", COST_ONLY, True): "C57 G219 C29 G152",
+    ("toy", MAX_REDUCTION_LEX, False): "C0 G1 G40 G87 C0 G4 G40 G99",
+    ("toy", MAX_REDUCTION_LEX, True): "C33 G30 G138 G153 C8 G9 G99 G123",
+    ("bau", COST_ONLY, False): "C0 S68 C0 S68",
+    ("bau", COST_ONLY, True): "C0 S86 C0 S86",
+    ("bau", MAX_REDUCTION_LEX, False): "C0 G1 S482 G87 C0 G13 S98 G99",
+    ("bau", MAX_REDUCTION_LEX, True): "S829 G473 S924 G790 S134 G52 S160 G242",
+}
+
+
+@pytest.mark.parametrize("nation, mode, floor", list(RUN_ALL_SOLVES))
+def test_run_all_starts_and_iterations(request, nation, mode, floor, monkeypatch):
+    calls = record_solves(monkeypatch)
+    engine.run_all(request.getfixturevalue(f"{nation}_instance"), objective_mode=mode, nonneg_emissions=floor)
+    got = " ".join(f"{sol.started_from[0].upper()}{sol.iterations}" for _, _, sol in calls)
+    assert got == RUN_ALL_SOLVES[nation, mode, floor]
+
+
+def test_losing_starts_build_no_artificials(bau_instance, monkeypatch):
+    # gen_bau cost S2 from S1's basis: the given start and the crash basis
+    # need phase 1 while the all-slack basis is feasible, so each loses on
+    # its one factorisation, before any artificial column is built
+    s1 = engine.run_scenario(bau_instance, scenario_config(1))
+    made = Counter()  # splu and hstack calls so far
+    per_start = []  # those made inside each _start call
+    start = simplex._start
+
+    def counted(f, key):
+        def wrapped(*args, **kwargs):
+            made[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    def start_spy(*args):
+        before = made.copy()
+        got = start(*args)
+        per_start.append(dict(made - before))
+        return got
+
+    monkeypatch.setattr(simplex, "_start", start_spy)
+    monkeypatch.setattr(simplex, "splu", counted(simplex.splu, "splu"))
+    monkeypatch.setattr(simplex.sp, "hstack", counted(simplex.sp.hstack, "hstack"))
+    s2 = engine.run_scenario(bau_instance, scenario_config(2), start=s1)
+    assert (s2.solve_stats["started_from"], s2.solve_stats["iterations"]) == ("slack", 68)
+    assert per_start == [{"splu": 1}] * 3  # given, crash, all-slack
+
+
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_lex_stage_two_warm_start_matches_cold(toy_instance, sid, monkeypatch):
     calls = record_solves(monkeypatch)
     engine.run_scenario(toy_instance, scenario_config(sid, objective_mode=MAX_REDUCTION_LEX))
     (_, start1, stage1), (lp2, _, warm) = calls
-    assert start1 is None and not stage1.warm_start
-    assert warm.warm_start and warm.phase1_iterations == 0
+    assert start1 is None and stage1.started_from != "given"
+    assert warm.started_from == "given" and warm.phase1_iterations == 0
     cold = solve(lp2)
     assert cold.status == warm.status == Status.OPTIMAL
-    assert not cold.warm_start and cold.phase1_iterations > 0
+    assert cold.started_from != "given" and cold.phase1_iterations > 0
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
 
 
@@ -247,7 +302,7 @@ def test_sweep_points_start_from_their_neighbour(toy_instance, golden, monkeypat
     engine.sweep(toy_instance, scenario_config(1), "carbon_price", grid)
     assert [start is not None for _, start, _ in calls] == [False] + [True] * 15
     for lp, _, warm in calls[1:]:
-        assert warm.warm_start and warm.phase1_iterations == 0
+        assert warm.started_from == "given" and warm.phase1_iterations == 0
         assert warm.objective_value == pytest.approx(solve(lp).objective_value, rel=1e-9)
 
 

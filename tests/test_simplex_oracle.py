@@ -218,7 +218,7 @@ def test_warm_start_from_an_optimal_basis(lp, monkeypatch):
     warm = solve(lp, start=cold.basis)
     assert len(factored) == warm.factorizations == 1  # phase 2 reuses the start's LU
     assert cold.status == warm.status == Status.OPTIMAL
-    assert not cold.warm_start and warm.warm_start
+    assert cold.started_from != "given" and warm.started_from == "given"
     assert warm.iterations == warm.phase1_iterations == 0
     np.testing.assert_allclose(warm.x, cold.x, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(warm.basis, cold.basis)
@@ -252,7 +252,7 @@ B, L, U = BASIC, AT_LOWER, AT_UPPER
 def test_unusable_start_falls_back_to_the_cold_solve(lp, start):
     cold = solve(lp)
     sol = solve(lp, start=np.array(start, dtype=np.int8))
-    assert not sol.warm_start
+    assert sol.started_from != "given"
     np.testing.assert_array_equal(sol.x, cold.x)
     np.testing.assert_array_equal(sol.basis, cold.basis)
     assert (sol.status, sol.objective_value, sol.iterations, sol.phase1_iterations, sol.factorizations) == (
@@ -271,7 +271,7 @@ def test_infeasible_slack_start_runs_phase_one(start):
     # an artificial carries the slack's excess, so the start is kept
     cold = solve(warm_lp())
     sol = solve(warm_lp(), start=np.array(start, dtype=np.int8))
-    assert sol.warm_start and sol.phase1_iterations > 0
+    assert sol.started_from == "given" and sol.phase1_iterations > 0
     assert cold.status == sol.status == Status.OPTIMAL
     assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-12)
     np.testing.assert_allclose(sol.x, cold.x, rtol=1e-12, atol=1e-12)
@@ -283,7 +283,7 @@ def test_start_lu_factorises_the_basis_with_artificials():
     lp = lp_of([-1.0, 1.0], [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]], ["<=", "<=", ">="], [3.0, 5.0, 2.0])
     A = sp.hstack([lp.matrix(), sp.diags([1.0, 1.0, -1.0])], format="csc")
     lb, ub = np.zeros(5), np.full(5, np.inf)
-    A, lb, ub, basis, vstat, x, lu = _start(A, lp.rhs(), lb, ub, np.array([B, L, B, B, L]))
+    A, lb, ub, basis, vstat, x, lu = _start(A, lp.rhs(), lb, ub, np.array([B, L, B, B, L]), True)
     np.testing.assert_array_equal(basis, [0, 5, 3])
     np.testing.assert_array_equal(A[:, 5].toarray().ravel(), [-1.0, 0.0, 0.0])
     np.testing.assert_array_equal(x, [2.0, 0.0, 0.0, 3.0, 0.0, 1.0])
@@ -301,7 +301,7 @@ def test_left_over_artificial_gives_its_place_to_its_slack():
     assert sol.objective_value == pytest.approx(2.0)
     np.testing.assert_array_equal(sol.basis, [B, L, L, B])  # x0 and the second row's slack
     again = solve(lp, start=sol.basis)
-    assert again.warm_start and again.phase1_iterations == 0
+    assert again.started_from == "given" and again.phase1_iterations == 0
     assert again.objective_value == sol.objective_value
 
 
