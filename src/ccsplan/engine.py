@@ -18,7 +18,7 @@ from .builder import (
     scenario_config,
 )
 from .domain import NUM_TECH, ModelInstance, ValidationError
-from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status, violated_rows
+from .lp import GE, InvalidProgramError, LinearProgram, Row, Rows, Status
 from .simplex import BASIC, solve
 
 LEX_EPS = 1e-6  # relative slack on the stage-1 reduction when re-minimising cost
@@ -99,9 +99,8 @@ def compute_emissions(instance: ModelInstance, plan: DeploymentPlan) -> np.ndarr
 def _raise_for_status(lp: LinearProgram, sol) -> None:
     if sol.status == Status.OPTIMAL:
         return
-    if sol.status == Status.INFEASIBLE:
-        tol = 1e-6 * (1.0 + np.abs(lp.rhs()).max(initial=0.0))
-        raise InfeasibleModelError(violated_rows(lp, sol.x, tol))
+    if sol.status == Status.INFEASIBLE:  # the rows phase 1 left unsatisfied
+        raise InfeasibleModelError(lp.rows.names[r] or f"row{r}" for r in sol.unsatisfied_rows)
     if sol.status == Status.UNBOUNDED:
         names = [lp.name_of(sol.ray_var)] if sol.ray_var is not None else []
         raise UnboundedModelError(names)

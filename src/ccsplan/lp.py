@@ -171,6 +171,9 @@ class LpSolution:
     # the start the solve ran from, "given", "crash" or "slack" (see
     # simplex.solve); None from a solver without starts
     started_from: str | None = None
+    # on INFEASIBLE, the rows (ascending) whose phase-1 artificial ended above
+    # simplex.FEAS_TOL; None for any other status and from the oracle
+    unsatisfied_rows: list | None = None
 
 
 @dataclass
@@ -203,9 +206,3 @@ def check_solution(lp: LinearProgram, x: np.ndarray) -> FeasibilityReport:
     upper_gap = np.where(np.isinf(lp.upper), -np.inf, x - lp.upper)
     bv = np.maximum(lp.lower - x, upper_gap)
     return FeasibilityReport(row_violation=rv, bound_violation=bv, objective=float((lp.objective * x).sum()))
-
-
-def violated_rows(lp: LinearProgram, x: np.ndarray, tol: float) -> list:
-    """Names of rows violated beyond tol at x (diagnostics helper)."""
-    violated = np.flatnonzero(check_solution(lp, x).row_violation > tol)
-    return [lp.rows.names[p] or f"row{p}" for p in violated]

@@ -27,12 +27,13 @@ Every solve runs from the first candidate basis that its start rule (see
 row, and phase 1 runs whenever there is one; otherwise phase 2 runs on the LU
 factorisation made to check the start. At an optimum, an artificial still
 basic (at zero) gives its place in the returned basis to its row's slack, so
-an optimal solve always returns a basis to start a later solve from.
+an optimal solve always returns a basis to start a later solve from. An
+infeasible solve names the rows whose artificial phase 1 left above FEAS_TOL
+(`LpSolution.unsatisfied_rows`), the only feasibility verdict a solve gives.
 
 What depends on the rows only is built once per `Rows` object and kept as
 long as that object lives (`_standard_form`): the geometric scales, the
-standard form [A_s, diag(slack signs)] with the scaled matrix A_s, and its
-transpose.
+standard form [A_s, diag(slack signs)] with the scaled matrix A_s.
 Programs that share their `Rows` (`dataclasses.replace(lp, objective=c)`,
 as a price sweep makes) share that work; only the bounds and the objective
 are scaled per solve. A `Rows` is never mutated after construction, so the
@@ -106,9 +107,9 @@ def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
 class _Loop:
     """One simplex phase over the standard-form system A x = b with bounds."""
 
-    def __init__(self, A: sp.csc_matrix, AT: sp.csr_matrix, b, lb, ub, lu=None):
+    def __init__(self, A: sp.csc_matrix, b, lb, ub, lu=None):
         self.A = A
-        self.AT = AT  # A^T, which prices the pivot rows
+        self.AT = A.T  # A^T, which prices the pivot rows: a CSR view of A's arrays
         self.b = b
         self.lb = lb
         self.ub = ub
@@ -319,12 +320,12 @@ _FORMS = weakref.WeakKeyDictionary()  # Rows -> what _standard_form returns
 
 
 def _standard_form(lp: LinearProgram):
-    """(rs, cs, sign, A, AT) of `lp.rows`: the row and column scales, each
-    slack's coefficient (-1 on a >= row, else 1), the standard form
+    """(rs, cs, sign, A) of `lp.rows`: the row and column scales, each
+    slack's coefficient (-1 on a >= row, else 1) and the standard form
     A = [diag(rs) A diag(cs), diag(sign)] (n structural, then m slack
-    columns) and its transpose. Built on the first solve of these rows, then
-    taken from `_FORMS` while they live: `Rows` hashes by identity, and no
-    Rows is mutated after construction."""
+    columns). Built on the first solve of these rows, then taken from
+    `_FORMS` while they live: `Rows` hashes by identity, and no Rows is
+    mutated after construction."""
     rows = lp.rows
     form = _FORMS.get(rows)
     if form is None:
@@ -334,7 +335,7 @@ def _standard_form(lp: LinearProgram):
         As = (sp.diags(rs) @ A @ sp.diags(cs)).tocsc()
         sign = np.where(rows.sense == GE, -1.0, 1.0)
         A_std = sp.hstack([As, sp.diags(sign, shape=(m, m), format="csc")], format="csc")
-        form = _FORMS[rows] = (rs, cs, sign, A_std, A_std.T.tocsr())
+        form = _FORMS[rows] = (rs, cs, sign, A_std)
     return form
 
 
@@ -361,7 +362,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
     whose column is the same up to sign."""
     lp.validate()
     n = lp.num_vars
-    rs, cs, sign, A_std, AT = _standard_form(lp)
+    rs, cs, sign, A_std = _standard_form(lp)
     m = len(rs)
     bs = lp.rhs() * rs
     lb = lp.lower / cs
@@ -385,12 +386,10 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             break
     A_std, lb_all, ub_all, basis, vstat, x, lu = init
     n_art = A_std.shape[1] - n - m
-    if n_art:  # the artificials' columns make a new A, and so a new A^T
-        AT = A_std.T.tocsr()
-    loop = _Loop(A_std, AT, bs, lb_all, ub_all, lu)
+    loop = _Loop(A_std, bs, lb_all, ub_all, lu)
     del init, lu  # the loop drops the start's LU at its first refactorisation
 
-    def finish(status):
+    def finish(status, unsatisfied=None):
         x_orig = x[:n] * cs
         rep = check_solution(lp, x_orig)
         final = None
@@ -411,6 +410,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             bland_iterations=loop.bland_iters,
             basis=final,
             started_from=started_from,
+            unsatisfied_rows=unsatisfied,
         )
 
     phase1_iterations = 0
@@ -423,7 +423,9 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
             return finish(Status.ITERATION_LIMIT)
         art_sum = float(np.sum(x[n + m :]))
         if st != Status.OPTIMAL or art_sum > FEAS_TOL * (1.0 + np.abs(bs).max(initial=0.0)):
-            return finish(Status.INFEASIBLE)
+            # an artificial's one entry is on its row, and they are in row order
+            art = n + m + np.flatnonzero(x[n + m :] > FEAS_TOL)
+            return finish(Status.INFEASIBLE, A_std.indices[A_std.indptr[art]].tolist())
         # pin artificials at zero for phase 2
         ub_all[n + m :] = 0.0
         x[n + m :] = 0.0

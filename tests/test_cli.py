@@ -75,6 +75,21 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_run_all_without_storage_names_the_blocking_mix_row(tmp_path, capsys):
+    data = tmp_path / "nostorage"
+    shutil.copytree(DATA, data)
+    with open(data / "regions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(data / "regions.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "ccs_capacity_tonnes": "0"} for row in rows)
+    code = main(["run-all", "--data", str(data), "--objective", "cost", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "mix[solar][2018]" in err and "<none found>" not in err
+
+
 def _set_first_row(path, column, value, repeat=False):
     """Set `column` of the first data row of the CSV at `path` to `value`;
     with `repeat`, in a copy of that row inserted after it (line 3)."""

@@ -65,6 +65,17 @@ def test_infeasible_cap_reports_binding_row():
     assert any(name.startswith("cap[") for name in exc.value.binding_rows)
 
 
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX])
+def test_no_storage_names_an_unsatisfied_mix_row(toy_instance, mode):
+    # without storage the mix rule blocks the cap; which rows phase 1 leaves
+    # unsatisfied follows the pivot path, so only a mix row is pinned
+    inst = replace(toy_instance, regions=[replace(r, ccs_capacity=0.0) for r in toy_instance.regions])
+    out = run_all(inst, objective_mode=mode)
+    for sid in (2, 4):
+        assert isinstance(out[sid], InfeasibleModelError)
+        assert any(name.startswith("mix[") for name in out[sid].binding_rows)
+
+
 def test_emissions_recomputation_is_bitwise(unit_instance):
     res = run_scenario(unit_instance, scenario_config(1))
     again = compute_emissions(unit_instance, res.plan)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution, violated_rows
+from ccsplan.lp import InvalidProgramError, LinearProgram, Row, check_solution
 
 
 def small_lp(**first_row):
@@ -56,7 +56,6 @@ def test_check_solution_reports_violations():
     np.testing.assert_allclose(rep.row_violation, [1.0, 0.0])
     assert rep.objective == -8.0
     assert rep.max_violation == 1.0
-    assert violated_rows(lp, np.array([2.0, 3.0]), 1e-9) == ["sum"]
 
 
 def test_check_solution_bound_violations():

@@ -172,7 +172,7 @@ def crash_programs(instance):
 def test_crash_basis_is_triangular_and_nonsingular(request, nation):
     for lp in crash_programs(request.getfixturevalue(f"{nation}_instance")):
         n = lp.num_vars
-        rs, cs, sign, A, _ = simplex._standard_form(lp)
+        rs, cs, sign, A = simplex._standard_form(lp)
         vstat = simplex._crash(A, lp.objective * cs, lp.upper / cs, n)
         basic, rows = np.flatnonzero(vstat[:n] == simplex.BASIC), np.flatnonzero(vstat[n:] == simplex.AT_LOWER)
         assert np.count_nonzero(vstat == simplex.BASIC) == len(rs) and len(basic) == len(rows) > 0
@@ -191,7 +191,7 @@ def test_crash_basis_loses_to_a_feasible_slack_start(bau_instance):
     # gen_bau has no cap, so x = 0 is feasible, while its S2 crash basis
     # violates mix rows and would need phase 1
     lp, _ = assemble(bau_instance, scenario_config(2))
-    rs, cs, sign, A, _ = simplex._standard_form(lp)
+    rs, cs, sign, A = simplex._standard_form(lp)
     crash = simplex._crash(A, lp.objective * cs, lp.upper / cs, lp.num_vars)
     lb = np.r_[lp.lower / cs, np.zeros(len(rs))]
     ub = np.r_[lp.upper / cs, np.where(lp.rows.sense == EQ, 0.0, np.inf)]

@@ -59,8 +59,12 @@ def test_equality_row_needs_phase_one():
 
 
 def test_infeasible_detected():
+    # x <= 1 and x >= 2: phase 1 meets the first row and leaves the second
     lp = lp_of([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])
-    assert solve(lp).status == Status.INFEASIBLE
+    sol = solve(lp)
+    assert sol.status == Status.INFEASIBLE and sol.unsatisfied_rows == [1]
+    assert enumerate_oracle(lp).unsatisfied_rows is None
+    assert solve(lp_of([1.0], [[1.0]], [">="], [2.0])).unsatisfied_rows is None
 
 
 def test_unbounded_detected_with_ray_var():
