@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Write the same twenty-two CLI output sets from two checkouts and compare them.
+# Write the same twenty-three CLI output sets from two checkouts and compare them.
 #
 # Usage: scripts/bundle_diff.sh PARENT_ROOT CHANGE_ROOT OUT
 #
 # Each checkout runs its own src/ and its own bundled toy-nation dataset with
 # one BLAS thread, so that the simplex takes the same pivot path on every run.
 # The 40-region dataset comes from each checkout's perfbench/gen_bau.py with
-# seed 1. Seventeen sets are result bundles (one `solve`, the others `run-all` and
+# seed 1. Eighteen sets are result bundles (one `solve`, the others `run-all` and
 # `sweep`, among them a carbon-price sweep whose highest prices overflow the
-# objective, so that failed points are compared too, and a cost-mode `run-all`
+# objective, so that failed points are compared too, a cost-mode `run-all`
 # on a copy of toy-nation with every ccs_capacity_tonnes set to 0, whose
 # scenarios 2 and 4 are infeasible and print the rows phase 1 left unsatisfied
-# on stderr, so that the infeasible path is compared too); three are `ccsplan
+# on stderr, so that the infeasible path is compared too, and a cost-mode
+# `run-all` on a copy with every potential_gw set to 1e300, whose optima
+# overflow the objective in every scenario); three are `ccsplan
 # validate`, on each dataset and on toy-nation in the ASCII C locale with
 # Python's UTF-8 mode off, so that the load and validation path and the
 # locale's stdout encoding are compared too; one is `ccsplan report` of the
@@ -119,23 +121,27 @@ PY
 }
 
 side() {
-    local root side=$2 toy bau nostorage
+    local root side=$2 toy bau nostorage overflow
     root=$(cd "$1" && pwd)
     toy="$root/src/ccsplan/data/toy-nation"
     bau="$OUT/data/$side/bau"
     nostorage="$OUT/data/$side/nostorage"
+    overflow="$OUT/data/$side/overflow"
     PYTHONDONTWRITEBYTECODE=1 python3 -c \
         'import sys; sys.path.insert(0, sys.argv[1]); import gen_bau; gen_bau.generate(sys.argv[2], sys.argv[3], 1)' \
         "$root/perfbench" "$toy" "$bau"
     cp -R "$toy" "$nostorage"
-    python3 - "$nostorage/regions.csv" <<'PY'
+    cp -R "$toy" "$overflow"
+    python3 - "$nostorage/regions.csv" ccs_capacity_tonnes 0 "$overflow/tech.csv" potential_gw 1e300 <<'PY'
 import csv, sys
-with open(sys.argv[1], newline="") as fh:
-    rows = list(csv.DictReader(fh))
-with open(sys.argv[1], "w", newline="") as fh:
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows({**row, "ccs_capacity_tonnes": "0"} for row in rows)
+args = sys.argv[1:]
+for path, column, value in zip(args[::3], args[1::3], args[2::3]):  # set the column to the value in every row
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, column: value} for row in rows)
 PY
     run "$root" "$side" validate-toy validate --data "$toy"
     run "$root" "$side" validate-bau validate --data "$bau"
@@ -151,6 +157,7 @@ PY
     touch "$OUT/$side/runall-blocked-file/bundle/s2/plotdata"
     run "$root" "$side" runall-blocked-file run-all --data "$toy" --objective cost
     run "$root" "$side" runall-nostorage run-all --data "$nostorage" --objective cost
+    run "$root" "$side" runall-overflow run-all --data "$overflow" --objective cost
     run "$root" "$side" sweep-cp16 "${SWEEP_CP16[@]}" --data "$toy"
     run "$root" "$side" sweep-cp16-floor "${SWEEP_CP16[@]}" --data "$toy" "$FLOOR"
     run "$root" "$side" sweep-cp16-lex "${SWEEP_CP16[@]}" --data "$toy" --objective max-reduction

@@ -23,7 +23,10 @@ Before a run_all or sweep case is timed, both sides' results are compared
 with the golden file's tolerances: every scenario or point fails on both
 sides with the same error, or succeeds on both with reduction_pct within
 1e-6 (absolute) and objectives within 1e-9 (relative). Beyond them the
-script exits 1.
+script exits 1. That checking call, never a timed one, also counts each
+side's simplex iterations and `splu` calls (by wrapping the side's
+`engine.solve` and `simplex.splu` for the call), and prints them: unlike
+the times, they are deterministic.
 
 Each case makes one warm-up call per side, then alternates which side goes
 first in each pair of timed calls, and prints the min and median in
@@ -94,11 +97,37 @@ def _agree(a: list, b: list) -> bool:
     return len(a) == len(b) and all(close(p, q) for p, q in zip(a, b))
 
 
-def _time_checked(label: str, calls: int, fns: dict) -> bool:
-    """`_time` after checking that both sides' results agree (see `_agree`)."""
-    if not _agree(fns["parent"](), fns["change"]()):
+def _counted(pkg, fn):
+    """(fn(), its simplex iterations and splu calls), counted by wrapping
+    `pkg`'s engine.solve and simplex.splu for the call."""
+    counts = {"iterations": 0, "splu": 0}
+    solve, splu = pkg.engine.solve, pkg.simplex.splu
+
+    def counted_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts["iterations"] += sol.iterations
+        return sol
+
+    def counted_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    pkg.engine.solve, pkg.simplex.splu = counted_solve, counted_splu
+    try:
+        return fn(), counts
+    finally:
+        pkg.engine.solve, pkg.simplex.splu = solve, splu
+
+
+def _time_checked(label: str, calls: int, fns: dict, sides: dict) -> bool:
+    """`_time` after checking that both sides' results agree (see `_agree`),
+    printing each side's counts from the checking call (see `_counted`)."""
+    checked = {side: _counted(sides[side], fn) for side, fn in fns.items()}
+    if not _agree(checked["parent"][0], checked["change"][0]):
         print(f"{label}: the two checkouts give different results", file=sys.stderr)
         return False
+    for side, (_, counts) in checked.items():
+        print(f"{label:20s} {side:6s} {counts['iterations']:6d} iterations  {counts['splu']:5d} splu calls")
     _time(label, calls, fns)
     return True
 
@@ -133,13 +162,13 @@ def main(argv) -> int:
                                   ("run_all gen_bau cost", bau, "cost_only")):
             fns = {side: partial(_run_all_outcomes, pkg, pkg.load_validated(data), mode)
                    for side, pkg in sides.items()}
-            if not _time_checked(label, 10, fns):
+            if not _time_checked(label, 10, fns, sides):
                 return 1
 
         for label, mode in (("sweep cp16 cost", "cost_only"), ("sweep cp16 lex", "max_reduction_lex")):
             fns = {side: partial(_sweep_points, pkg, pkg.load_validated(toy),
                                  pkg.scenario_config(1, objective_mode=mode)) for side, pkg in sides.items()}
-            if not _time_checked(label, 20, fns):
+            if not _time_checked(label, 20, fns, sides):
                 return 1
     return 0
 

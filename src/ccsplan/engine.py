@@ -98,7 +98,13 @@ def compute_emissions(instance: ModelInstance, plan: DeploymentPlan) -> np.ndarr
 
 def _raise_for_status(lp: LinearProgram, sol) -> None:
     if sol.status == Status.OPTIMAL:
-        return
+        if np.isfinite(sol.objective_value):
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = lp.objective * sol.x
+        bad = ~np.isfinite(term)  # the first such term, or the largest when only their sum overflows
+        j = int(np.argmax(bad)) if bad.any() else int(np.argmax(np.abs(term)))
+        raise ScenarioError(f"objective is not finite: c_j*x_j = {term[j]} for variable {lp.name_of(j)!r}")
     if sol.status == Status.INFEASIBLE:  # the rows phase 1 left unsatisfied
         raise InfeasibleModelError(lp.rows.names[r] or f"row{r}" for r in sol.unsatisfied_rows)
     if sol.status == Status.UNBOUNDED:

@@ -161,7 +161,7 @@ class LpSolution:
     iterations: int
     max_primal_infeasibility: float
     ray_var: int | None = None  # entering variable of the unbounded ray, if any
-    factorizations: int = 0  # fresh LU factorisations of the basis, both phases
+    factorizations: int = 0  # the LUs the phases ran on: the start's, then one per refactorisation
     phase1_iterations: int = 0  # iterations spent reaching feasibility
     bland_iterations: int = 0  # iterations whose entering variable Bland's rule chose
     # BASIC/AT_LOWER/AT_UPPER status of the n structural and m slack variables

@@ -9,27 +9,31 @@ equilibrated by geometric means before solving. The ratio test takes the
 smallest ratio; among ratios within 1e-12 of the minimum, the lowest
 variable index leaves.
 
-The sparse basis matrix is factorised by SuperLU (`scipy.sparse.linalg.splu`)
-at the start of each phase and after every REFACTOR_EVERY basis changes; in
-between, each basis change appends a product-form eta to the factorisation.
-The basic values x_B and the reduced costs d are recomputed from every fresh
-factorisation and updated by each step in between: d by the pivot row
-alpha_r = A^T B^-T e_r, which also updates the devex weights. OPTIMAL is only
-declared from a fresh factorisation with freshly computed d: when pricing
-finds no candidate while etas are pending, the basis is refactorised and
-priced again. Every BLAS call on the solve path is too small for OpenBLAS to
-start a second thread (objective values are elementwise sums over the
-columns, not dot products), so the pivot path does not depend on the number
-of BLAS threads. Deterministic: identical inputs give bit-identical output.
+One `_Loop` holds a solve's state from its accepted start to its optimum:
+the basis, the variables' statuses and values, and the SuperLU factorisation
+(`scipy.sparse.linalg.splu`) of the basis matrix, to which each basis change
+appends a product-form eta. The basis is factorised when the start is
+checked, after every REFACTOR_EVERY basis changes and when optimality is
+confirmed; phase 2 continues on phase 1's final LU. x_B and the reduced
+costs d are recomputed from the LU at the start of each phase and after each
+refactorisation, and updated by each step in between: d by the pivot row
+alpha_r = A^T B^-T e_r, which also updates the devex weights. OPTIMAL is
+only declared on a fresh LU with freshly computed d (with etas pending, the
+basis is refactorised and priced again), so an optimal solve ends on a fresh
+LU of its final basis. Every BLAS call on the solve path is too small for
+OpenBLAS to start a second thread (objective values are elementwise sums
+over the columns, not dot products), so the pivot path does not depend on
+the number of BLAS threads. Deterministic: identical inputs give
+bit-identical output.
 
 Every solve runs from the first candidate basis that its start rule (see
 `solve`) accepts. A basic slack outside its bounds gets an artificial on its
-row, and phase 1 runs whenever there is one; otherwise phase 2 runs on the LU
-factorisation made to check the start. At an optimum, an artificial still
-basic (at zero) gives its place in the returned basis to its row's slack, so
-an optimal solve always returns a basis to start a later solve from. An
-infeasible solve names the rows whose artificial phase 1 left above FEAS_TOL
-(`LpSolution.unsatisfied_rows`), the only feasibility verdict a solve gives.
+row, and phase 1 runs whenever there is one. At an optimum, an artificial
+still basic (at zero) gives its place in the returned basis to its row's
+slack, so an optimal solve always returns a basis to start a later solve
+from. An infeasible solve names the rows whose artificial phase 1 left above
+FEAS_TOL (`LpSolution.unsatisfied_rows`), the only feasibility verdict a
+solve gives.
 
 What depends on the rows only is built once per `Rows` object and kept as
 long as that object lives (`_standard_form`): the geometric scales, the
@@ -105,20 +109,75 @@ def _ratio_test(dxb, xb, lbb, ubb, basis, pivot_tol):
 
 
 class _Loop:
-    """One simplex phase over the standard-form system A x = b with bounds."""
+    """One solve's state over the standard-form system A x = b with bounds,
+    from its accepted start (`start`) through one `run` per phase: the basis,
+    the variables' statuses and values, and the LU of a basis matrix with the
+    etas appended to it since."""
 
-    def __init__(self, A: sp.csc_matrix, b, lb, ub, lu=None):
-        self.A = A
+    def __init__(self, A: sp.csc_matrix, b, lb, ub, basis, vstat, x, lu):
+        self.A, self.b, self.lb, self.ub = A, b, lb, ub
         self.AT = A.T  # A^T, which prices the pivot rows: a CSR view of A's arrays
-        self.b = b
-        self.lb = lb
-        self.ub = ub
+        self.basis, self.vstat, self.x, self.lu = basis, vstat, x, lu
+        self.etas = []  # (position, FTRAN'd entering column) per basis change since lu
         self.m = A.shape[0]
         self.iters = 0
         self.bland_iters = 0  # iterations that entered by Bland's rule
-        self.factorizations = 0
+        self.factorizations = 1  # the start's LU
         self.ray_var = None
-        self.lu = lu  # the caller's LU of the first run's basis matrix, if any
+
+    @classmethod
+    def start(cls, A, b, lb, ub, start, phase1):
+        """The loop to run the simplex from the basis `start` over the columns
+        of `A` (n structurals, then m slacks), or None when the start (None
+        too) is unusable. Usable means one BASIC/AT_LOWER/AT_UPPER status per
+        column, exactly m BASIC, no AT_UPPER on an infinite bound, a
+        nonsingular basis matrix, every basic structural within FEAS_TOL of
+        its bounds and, unless `phase1`, every basic slack within FEAS_TOL of
+        its bounds too; the all-slack basis with `phase1` always is.
+
+        A basic slack further than FEAS_TOL outside its bounds, [0, inf) or
+        [0, 0], leaves the basis at 0, and an artificial on its row carries
+        the excess e: column sign(coef e) e_row, value |e|. Artificials are
+        appended to A, lb and ub in row order, and the LU is that of the new
+        basis."""
+        m, N = A.shape
+        start = np.asarray(start)
+        if start.shape != (N,) or not np.isin(start, (BASIC, AT_LOWER, AT_UPPER)).all():
+            return None
+        vstat = start.astype(np.int8)
+        basis = np.flatnonzero(vstat == BASIC)
+        upper = vstat == AT_UPPER
+        if len(basis) != m or np.isinf(ub[upper]).any():
+            return None
+        try:
+            lu = splu(A[:, basis])
+        except RuntimeError:  # exactly singular
+            return None
+        u = np.abs(lu.U.diagonal())
+        if u.min(initial=np.inf) <= PIVOT_TOL * u.max(initial=0.0):
+            return None
+        x = np.where(upper, ub, lb)
+        x[basis] = 0.0
+        xb = x[basis] = lu.solve(b - A @ x)
+        pos = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ub[basis] + FEAS_TOL))
+        slack = basis[pos]
+        if (slack < N - m).any() or (pos.size and not phase1):
+            return None  # a basic structural, or a slack without phase 1, outside its bounds
+        if pos.size:  # `basis` is ascending, so the slacks' rows are in order
+            k = len(pos)
+            e = xb[pos] - lb[slack]
+            coef = A.data[A.indptr[slack]]  # a slack column's one entry
+            art = sp.csc_matrix((np.sign(coef * e), (slack - (N - m), np.arange(k))), shape=(m, k))
+            x[slack] = lb[slack]
+            vstat[slack] = AT_LOWER
+            basis[pos] = N + np.arange(k)
+            A = sp.hstack([A, art], format="csc")
+            lb = np.concatenate([lb, np.zeros(k)])
+            ub = np.concatenate([ub, np.full(k, np.inf)])
+            vstat = np.concatenate([vstat, np.full(k, BASIC, dtype=np.int8)])
+            x = np.concatenate([x, np.abs(e)])
+            lu = splu(A[:, basis])
+        return cls(A, b, lb, ub, basis, vstat, x, lu)
 
     def _column(self, j):
         A = self.A
@@ -127,9 +186,10 @@ class _Loop:
         col[A.indices[lo:hi]] = A.data[lo:hi]
         return col
 
-    def _factor(self, basis):
+    def _refactor(self):
+        """A fresh LU of the current basis matrix, with no etas."""
         self.factorizations += 1
-        return splu(self.A[:, basis])
+        self.lu, self.etas = splu(self.A[:, self.basis]), []
 
     @staticmethod
     def _ftran(lu, etas, r):
@@ -149,44 +209,42 @@ class _Loop:
             r[p] = (r[p] - (w @ r - w[p] * r[p])) / w[p]
         return lu.solve(r, trans="T")
 
-    def _basic_values(self, lu, etas, basis, x):
+    def _basic_values(self):
         """Set x_B to B^-1 (b - A_N x_N) from the factorisation."""
-        xx = x.copy()
-        xx[basis] = 0.0
-        x[basis] = self._ftran(lu, etas, self.b - self.A @ xx)
+        xx = self.x.copy()
+        xx[self.basis] = 0.0
+        self.x[self.basis] = self._ftran(self.lu, self.etas, self.b - self.A @ xx)
 
-    def run(self, c, basis, vstat, x):
+    def run(self, c):
+        """One phase: minimise c x from the current basis and LU. OPTIMAL
+        leaves a fresh LU of the final basis, with no etas."""
+        basis, vstat, x, lb, ub = self.basis, self.vstat, self.x, self.lb, self.ub
         # optimality tolerance relative to the cost magnitude: with costs of
         # order 1e11 the roundoff in reduced costs dwarfs any absolute cutoff
         d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
-        movable = self.ub > self.lb
-        lu, self.lu = self.lu, None
-        if lu is None:
-            lu = self._factor(basis)
-        else:
-            self.factorizations += 1
-        etas = []  # (position, FTRAN'd entering column) per basis change since lu
-        fresh = True  # lu is new: recompute x_B and d, which steps update in between
+        movable = ub > lb
+        fresh = True  # the LU is new to this phase: recompute x_B and d, which steps update in between
         weights = np.ones(len(c))  # devex reference weights
         obj = float((c * x).sum())  # running objective, lowered by each step
         stall = 0  # steps in a row without a relative 1e-10 improvement
         while True:
             if self.iters >= MAX_ITERS:
-                self._basic_values(lu, etas, basis, x)
+                self._basic_values()
                 return Status.ITERATION_LIMIT
             if fresh:
-                self._basic_values(lu, etas, basis, x)
-                d = c - self.AT @ self._btran(lu, etas, c[basis])
+                self._basic_values()
+                d = c - self.AT @ self._btran(self.lu, self.etas, c[basis])
                 fresh = False
             elig = movable & (
                 ((vstat == AT_LOWER) & (d < -d_tol)) | ((vstat == AT_UPPER) & (d > d_tol))
             )
             cand = np.nonzero(elig)[0]
             if cand.size == 0:
-                if not etas:
+                if not self.etas:
                     return Status.OPTIMAL
                 # confirm optimality on a fresh factorisation
-                lu, etas, fresh = self._factor(basis), [], True
+                self._refactor()
+                fresh = True
                 continue
             if stall >= STALL_LIMIT:  # Bland's rule
                 q = int(cand[0])
@@ -195,13 +253,11 @@ class _Loop:
                 dc = d[cand]
                 q = int(cand[np.argmax(dc * dc / weights[cand])])
             sigma = 1.0 if vstat[q] == AT_LOWER else -1.0
-            w = self._ftran(lu, etas, self._column(q))
+            w = self._ftran(self.lu, self.etas, self._column(q))
             dxb = -sigma * w
-            t_basic, leave_p, leave_to = _ratio_test(
-                dxb, x[basis], self.lb[basis], self.ub[basis], basis, PIVOT_TOL
-            )
+            t_basic, leave_p, leave_to = _ratio_test(dxb, x[basis], lb[basis], ub[basis], basis, PIVOT_TOL)
 
-            t_flip = self.ub[q] - self.lb[q]
+            t_flip = ub[q] - lb[q]
             step = min(t_flip, t_basic)
             if np.isinf(step):
                 self.ray_var = q
@@ -211,82 +267,30 @@ class _Loop:
             stall = 0 if gain > 1e-10 * (1.0 + abs(obj)) else stall + 1
             if t_flip <= t_basic:
                 x[basis] += dxb * t_flip
-                x[q] = self.ub[q] if vstat[q] == AT_LOWER else self.lb[q]
+                x[q] = ub[q] if vstat[q] == AT_LOWER else lb[q]
                 vstat[q] = AT_UPPER if vstat[q] == AT_LOWER else AT_LOWER
             else:
                 x[basis] += dxb * t_basic
                 x[q] = x[q] + sigma * t_basic
                 v_leave = basis[leave_p]
-                x[v_leave] = self.lb[v_leave] if leave_to == AT_LOWER else self.ub[v_leave]
+                x[v_leave] = lb[v_leave] if leave_to == AT_LOWER else ub[v_leave]
                 vstat[v_leave] = leave_to
                 # pivot row alpha_r = A^T B^-T e_r of the basis before the change
                 e_r = np.zeros(self.m)
                 e_r[leave_p] = 1.0
-                alpha = self.AT @ self._btran(lu, etas, e_r)
+                alpha = self.AT @ self._btran(self.lu, self.etas, e_r)
                 a_rq, w_q = alpha[q], weights[q]
                 d -= (d[q] / a_rq) * alpha
                 np.maximum(weights, np.square(alpha / a_rq) * w_q, out=weights)
                 weights[v_leave] = max(w_q / a_rq**2, 1.0)
                 basis[leave_p] = q
                 vstat[q] = BASIC
-                etas.append((leave_p, w))
-                if len(etas) >= REFACTOR_EVERY:
-                    lu, etas, fresh = self._factor(basis), [], True
+                self.etas.append((leave_p, w))
+                if len(self.etas) >= REFACTOR_EVERY:
+                    self._refactor()
+                    fresh = True
 
             self.iters += 1
-
-
-def _start(A, b, lb, ub, start, phase1):
-    """(A, lb, ub, basis, statuses, values, LU) to run the simplex from the
-    basis `start` over the columns of `A` (n structurals, then m slacks), or
-    None when the start (None too) is unusable. Usable means one BASIC/AT_LOWER/AT_UPPER
-    status per column, exactly m BASIC, no AT_UPPER on an infinite bound, a
-    nonsingular basis matrix, every basic structural within FEAS_TOL of its
-    bounds and, unless `phase1`, every basic slack within FEAS_TOL of its
-    bounds too; the all-slack basis with `phase1` always is.
-
-    A basic slack further than FEAS_TOL outside its bounds, [0, inf) or
-    [0, 0], leaves the basis at 0, and an artificial on its row carries the
-    excess e: column sign(coef e) e_row, value |e|. Artificials are appended
-    to A, lb and ub in row order, and the LU is that of the new basis."""
-    m, N = A.shape
-    start = np.asarray(start)
-    if start.shape != (N,) or not np.isin(start, (BASIC, AT_LOWER, AT_UPPER)).all():
-        return None
-    vstat = start.astype(np.int8)
-    basis = np.flatnonzero(vstat == BASIC)
-    upper = vstat == AT_UPPER
-    if len(basis) != m or np.isinf(ub[upper]).any():
-        return None
-    try:
-        lu = splu(A[:, basis])
-    except RuntimeError:  # exactly singular
-        return None
-    u = np.abs(lu.U.diagonal())
-    if u.min(initial=np.inf) <= PIVOT_TOL * u.max(initial=0.0):
-        return None
-    x = np.where(upper, ub, lb)
-    x[basis] = 0.0
-    xb = x[basis] = lu.solve(b - A @ x)
-    pos = np.flatnonzero((xb < lb[basis] - FEAS_TOL) | (xb > ub[basis] + FEAS_TOL))
-    slack = basis[pos]
-    if (slack < N - m).any() or (pos.size and not phase1):
-        return None  # a basic structural, or a slack without phase 1, outside its bounds
-    if pos.size:  # `basis` is ascending, so the slacks' rows are in order
-        k = len(pos)
-        e = xb[pos] - lb[slack]
-        coef = A.data[A.indptr[slack]]  # a slack column's one entry
-        art = sp.csc_matrix((np.sign(coef * e), (slack - (N - m), np.arange(k))), shape=(m, k))
-        x[slack] = lb[slack]
-        vstat[slack] = AT_LOWER
-        basis[pos] = N + np.arange(k)
-        A = sp.hstack([A, art], format="csc")
-        lb = np.concatenate([lb, np.zeros(k)])
-        ub = np.concatenate([ub, np.full(k, np.inf)])
-        vstat = np.concatenate([vstat, np.full(k, BASIC, dtype=np.int8)])
-        x = np.concatenate([x, np.abs(e)])
-        lu = splu(A[:, basis])
-    return A, lb, ub, basis, vstat, x, lu
 
 
 def _crash(A, c, ub, n):
@@ -350,7 +354,7 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
 
     `start` is a basis to run from, as in `LpSolution.basis`: one status per
     structural and slack variable. The start rule: the solve runs from the
-    first candidate that `_start` accepts, in order the given `start`, the
+    first candidate that `_Loop.start` accepts, in order the given `start`, the
     crash basis of `_crash` (built only if `start` is not taken) and the
     all-slack basis. A candidate may need phase 1 only if the all-slack basis
     does too (tested on the scaled b - A lb against the slack bounds, without
@@ -381,55 +385,50 @@ def solve(lp: LinearProgram, start=None) -> LpSolution:
         yield "slack", np.r_[np.full(n, AT_LOWER, np.int8), np.full(m, BASIC, np.int8)]
 
     for started_from, candidate in candidates():
-        init = _start(A_std, bs, lb_all, ub_all, candidate, started_from == "slack" or not slack_feasible)
-        if init is not None:
+        loop = _Loop.start(A_std, bs, lb_all, ub_all, candidate, started_from == "slack" or not slack_feasible)
+        if loop is not None:
             break
-    A_std, lb_all, ub_all, basis, vstat, x, lu = init
-    n_art = A_std.shape[1] - n - m
-    loop = _Loop(A_std, bs, lb_all, ub_all, lu)
-    del init, lu  # the loop drops the start's LU at its first refactorisation
-
-    def finish(status, unsatisfied=None):
-        x_orig = x[:n] * cs
-        rep = check_solution(lp, x_orig)
-        final = None
-        if status == Status.OPTIMAL:
-            # a basic artificial (at 0) gives its place to its row's slack,
-            # whose column is the same up to sign
-            final = vstat[: n + m].copy()
-            final[n + A_std.indices[A_std.indptr[basis[basis >= n + m]]]] = BASIC
-        return LpSolution(
-            status=status,
-            x=x_orig,
-            objective_value=rep.objective,
-            iterations=loop.iters,
-            max_primal_infeasibility=rep.max_violation,
-            ray_var=loop.ray_var,
-            factorizations=loop.factorizations,
-            phase1_iterations=phase1_iterations,
-            bland_iterations=loop.bland_iters,
-            basis=final,
-            started_from=started_from,
-            unsatisfied_rows=unsatisfied,
-        )
-
-    phase1_iterations = 0
-    if n_art:
-        c1 = np.zeros(n + m + n_art)
-        c1[n + m :] = 1.0
-        st = loop.run(c1, basis, vstat, x)
-        phase1_iterations = loop.iters
-        if st == Status.ITERATION_LIMIT:
-            return finish(Status.ITERATION_LIMIT)
-        art_sum = float(np.sum(x[n + m :]))
-        if st != Status.OPTIMAL or art_sum > FEAS_TOL * (1.0 + np.abs(bs).max(initial=0.0)):
-            # an artificial's one entry is on its row, and they are in row order
-            art = n + m + np.flatnonzero(x[n + m :] > FEAS_TOL)
-            return finish(Status.INFEASIBLE, A_std.indices[A_std.indptr[art]].tolist())
-        # pin artificials at zero for phase 2
-        ub_all[n + m :] = 0.0
-        x[n + m :] = 0.0
-
-    c2 = np.concatenate([c_struct, np.zeros(m + n_art)])
-    st = loop.run(c2, basis, vstat, x)
-    return finish(st)
+    n_art = loop.A.shape[1] - n - m
+    status, phase1_iterations, unsatisfied = None, 0, None
+    with np.errstate(over="ignore", invalid="ignore"):  # callers report a non-finite optimum
+        if n_art:
+            c1 = np.zeros(n + m + n_art)
+            c1[n + m :] = 1.0
+            status = loop.run(c1)
+            phase1_iterations = loop.iters
+            art_sum = float(np.sum(loop.x[n + m :]))
+            if status == Status.UNBOUNDED or (
+                status == Status.OPTIMAL and art_sum > FEAS_TOL * (1.0 + np.abs(bs).max(initial=0.0))
+            ):
+                status = Status.INFEASIBLE
+                # an artificial's one entry is on its row, and they are in row order
+                art = n + m + np.flatnonzero(loop.x[n + m :] > FEAS_TOL)
+                unsatisfied = loop.A.indices[loop.A.indptr[art]].tolist()
+            elif status == Status.OPTIMAL:  # pin the artificials at zero for phase 2
+                status = None
+                loop.ub[n + m :] = 0.0
+                loop.x[n + m :] = 0.0
+        if status is None:  # phase 2, on the LU phase 1 ended with
+            status = loop.run(np.concatenate([c_struct, np.zeros(m + n_art)]))
+        x = loop.x[:n] * cs
+        rep = check_solution(lp, x)
+    final = None
+    if status == Status.OPTIMAL:
+        # a basic artificial (at 0) gives its place to its row's slack, whose
+        # column is the same up to sign
+        final = loop.vstat[: n + m].copy()
+        final[n + loop.A.indices[loop.A.indptr[loop.basis[loop.basis >= n + m]]]] = BASIC
+    return LpSolution(
+        status=status,
+        x=x,
+        objective_value=rep.objective,
+        iterations=loop.iters,
+        max_primal_infeasibility=rep.max_violation,
+        ray_var=loop.ray_var,
+        factorizations=loop.factorizations,
+        phase1_iterations=phase1_iterations,
+        bland_iterations=loop.bland_iters,
+        basis=final,
+        started_from=started_from,
+        unsatisfied_rows=unsatisfied,
+    )

@@ -75,19 +75,50 @@ def test_solve_infeasible_exits_one(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_run_all_without_storage_names_the_blocking_mix_row(tmp_path, capsys):
-    data = tmp_path / "nostorage"
+def _toy_with_column(data, name, column, value):
+    """A copy of toy-nation at `data` with `column` of every row of the CSV
+    `name` set to `value`."""
     shutil.copytree(DATA, data)
-    with open(data / "regions.csv", newline="") as fh:
+    with open(data / name, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    with open(data / "regions.csv", "w", newline="") as fh:
+    with open(data / name, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        writer.writerows({**row, "ccs_capacity_tonnes": "0"} for row in rows)
+        writer.writerows({**row, column: value} for row in rows)
+    return data
+
+
+def test_run_all_without_storage_names_the_blocking_mix_row(tmp_path, capsys):
+    data = _toy_with_column(tmp_path / "nostorage", "regions.csv", "ccs_capacity_tonnes", "0")
     code = main(["run-all", "--data", str(data), "--objective", "cost", "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
     assert "mix[solar][2018]" in err and "<none found>" not in err
+
+
+SWEEP_2 = ["sweep", "--scenario", "1", "--param", "carbon-price", "--from", "10000", "--to", "20000", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, failed",
+    [
+        (["run-all", "--objective", "cost"], [f"scenario {sid}:" for sid in (1, 2, 3, 4)]),
+        (["run-all", "--objective", "max-reduction"], [f"scenario {sid}:" for sid in (1, 2, 3, 4)]),
+        (SWEEP_2, ["point 10000:", "point 20000:"]),
+    ],
+    ids=["run-all-cost", "run-all-lex", "sweep"],
+)
+def test_overflowing_optimum_fails_each_scenario(tmp_path, capsys, argv, failed):
+    data = _toy_with_column(tmp_path / "overflow", "tech.csv", "potential_gw", "1e300")
+    out = tmp_path / "o"
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.split(" objective is not finite:")[0] for line in lines] == failed
+    for text in (captured.out, captured.err):
+        assert "RuntimeWarning" not in text and "inf%" not in text and "nan" not in text
+    if argv[0] == "run-all":
+        assert not out.exists()
 
 
 def _set_first_row(path, column, value, repeat=False):

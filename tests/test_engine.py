@@ -76,6 +76,16 @@ def test_no_storage_names_an_unsatisfied_mix_row(toy_instance, mode):
         assert any(name.startswith("mix[") for name in out[sid].binding_rows)
 
 
+@pytest.mark.parametrize("mode", [COST_ONLY, MAX_REDUCTION_LEX])
+def test_overflowing_optimum_is_scenario_error(toy_instance, mode):
+    # finite but absurd potentials: the optimum's objective overflows (to -inf
+    # in cost mode, nan in max-reduction mode), which fails every scenario
+    out = run_all(replace(toy_instance, potential=toy_instance.potential * 1e300), objective_mode=mode)
+    for sid in (1, 2, 3, 4):
+        assert isinstance(out[sid], ScenarioError)
+        assert re.fullmatch(r"objective is not finite: c_j\*x_j = -inf for variable 'RE\[.*\]'", str(out[sid]))
+
+
 def test_emissions_recomputation_is_bitwise(unit_instance):
     res = run_scenario(unit_instance, scenario_config(1))
     again = compute_emissions(unit_instance, res.plan)

@@ -195,8 +195,8 @@ def test_crash_basis_loses_to_a_feasible_slack_start(bau_instance):
     crash = simplex._crash(A, lp.objective * cs, lp.upper / cs, lp.num_vars)
     lb = np.r_[lp.lower / cs, np.zeros(len(rs))]
     ub = np.r_[lp.upper / cs, np.where(lp.rows.sense == EQ, 0.0, np.inf)]
-    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash, True)[0].shape[1] > A.shape[1]
-    assert simplex._start(A, lp.rhs() * rs, lb, ub, crash, False) is None
+    assert simplex._Loop.start(A, lp.rhs() * rs, lb, ub, crash, True).A.shape[1] > A.shape[1]
+    assert simplex._Loop.start(A, lp.rhs() * rs, lb, ub, crash, False) is None
     sol = solve(lp)
     assert sol.started_from == "slack"
     assert (sol.iterations, sol.phase1_iterations) == (68, 0)
@@ -230,19 +230,20 @@ def record_solves(monkeypatch):
     return calls
 
 
-# the start (C crash, G given, S slack) and the iterations of every solve of
-# run_all, in order (lex: stage 1, then stage 2, per scenario), as one BLAS
+# the start (C crash, G given, S slack), the iterations and the LU
+# factorisations (C59:4 is a crash start, 59 iterations, 4 LUs) of every solve
+# of run_all, in order (lex: stage 1, then stage 2, per scenario), as one BLAS
 # thread gives them; test_blas_thread_count_does_not_move_results checks that
 # more threads give the same pivots
 RUN_ALL_SOLVES = {
-    ("toy", COST_ONLY, False): "C59 G198 C30 G125",
-    ("toy", COST_ONLY, True): "C57 G219 C29 G152",
-    ("toy", MAX_REDUCTION_LEX, False): "C0 G1 G40 G87 C0 G4 G40 G99",
-    ("toy", MAX_REDUCTION_LEX, True): "C33 G30 G138 G153 C8 G9 G99 G123",
-    ("bau", COST_ONLY, False): "C0 S68 C0 S68",
-    ("bau", COST_ONLY, True): "C0 S86 C0 S86",
-    ("bau", MAX_REDUCTION_LEX, False): "C0 G1 S482 G87 C0 G13 S98 G99",
-    ("bau", MAX_REDUCTION_LEX, True): "S829 G473 S924 G790 S134 G52 S160 G242",
+    ("toy", COST_ONLY, False): "C59:4 G198:7 C30:3 G125:5",
+    ("toy", COST_ONLY, True): "C57:4 G219:8 C29:3 G152:5",
+    ("toy", MAX_REDUCTION_LEX, False): "C0:1 G1:2 G40:3 G87:4 C0:1 G4:2 G40:3 G99:4",
+    ("toy", MAX_REDUCTION_LEX, True): "C33:3 G30:2 G138:6 G153:5 C8:3 G9:2 G99:5 G123:5",
+    ("bau", COST_ONLY, False): "C0:1 S68:3 C0:1 S68:3",
+    ("bau", COST_ONLY, True): "C0:1 S86:4 C0:1 S86:4",
+    ("bau", MAX_REDUCTION_LEX, False): "C0:1 G1:2 S482:14 G87:4 C0:1 G13:2 S98:4 G99:4",
+    ("bau", MAX_REDUCTION_LEX, True): "S829:22 G473:13 S924:25 G790:21 S134:5 G52:3 S160:5 G242:8",
 }
 
 
@@ -250,7 +251,7 @@ RUN_ALL_SOLVES = {
 def test_run_all_starts_and_iterations(request, nation, mode, floor, monkeypatch):
     calls = record_solves(monkeypatch)
     engine.run_all(request.getfixturevalue(f"{nation}_instance"), objective_mode=mode, nonneg_emissions=floor)
-    got = " ".join(f"{sol.started_from[0].upper()}{sol.iterations}" for _, _, sol in calls)
+    got = " ".join(f"{sol.started_from[0].upper()}{sol.iterations}:{sol.factorizations}" for _, _, sol in calls)
     assert got == RUN_ALL_SOLVES[nation, mode, floor]
 
 
@@ -260,8 +261,8 @@ def test_losing_starts_build_no_artificials(bau_instance, monkeypatch):
     # its one factorisation, before any artificial column is built
     s1 = engine.run_scenario(bau_instance, scenario_config(1))
     made = Counter()  # splu and hstack calls so far
-    per_start = []  # those made inside each _start call
-    start = simplex._start
+    per_start = []  # those made inside each _Loop.start call
+    start = simplex._Loop.start
 
     def counted(f, key):
         def wrapped(*args, **kwargs):
@@ -269,13 +270,13 @@ def test_losing_starts_build_no_artificials(bau_instance, monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    def start_spy(*args):
+    def start_spy(cls, *args):
         before = made.copy()
         got = start(*args)
         per_start.append(dict(made - before))
         return got
 
-    monkeypatch.setattr(simplex, "_start", start_spy)
+    monkeypatch.setattr(simplex._Loop, "start", classmethod(start_spy))
     monkeypatch.setattr(simplex, "splu", counted(simplex.splu, "splu"))
     monkeypatch.setattr(simplex.sp, "hstack", counted(simplex.sp.hstack, "hstack"))
     s2 = engine.run_scenario(bau_instance, scenario_config(2), start=s1)

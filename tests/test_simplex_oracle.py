@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from ccsplan import simplex
 from ccsplan.lp import LinearProgram, Row, Status
 from ccsplan.oracle import enumerate_oracle
-from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, _ratio_test, _start, solve
+from ccsplan.simplex import AT_LOWER, AT_UPPER, BASIC, _Loop, _ratio_test, solve
 
 
 def lp_of(c, A, senses, rhs, lower=None, upper=None):
@@ -287,13 +287,13 @@ def test_start_lu_factorises_the_basis_with_artificials():
     lp = lp_of([-1.0, 1.0], [[2.0, 0.0], [1.0, 1.0], [1.0, 1.0]], ["<=", "<=", ">="], [3.0, 5.0, 2.0])
     A = sp.hstack([lp.matrix(), sp.diags([1.0, 1.0, -1.0])], format="csc")
     lb, ub = np.zeros(5), np.full(5, np.inf)
-    A, lb, ub, basis, vstat, x, lu = _start(A, lp.rhs(), lb, ub, np.array([B, L, B, B, L]), True)
-    np.testing.assert_array_equal(basis, [0, 5, 3])
-    np.testing.assert_array_equal(A[:, 5].toarray().ravel(), [-1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(x, [2.0, 0.0, 0.0, 3.0, 0.0, 1.0])
-    np.testing.assert_array_equal(vstat, [B, L, L, B, L, B])
+    loop = _Loop.start(A, lp.rhs(), lb, ub, np.array([B, L, B, B, L]), True)
+    np.testing.assert_array_equal(loop.basis, [0, 5, 3])
+    np.testing.assert_array_equal(loop.A[:, 5].toarray().ravel(), [-1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(loop.x, [2.0, 0.0, 0.0, 3.0, 0.0, 1.0])
+    np.testing.assert_array_equal(loop.vstat, [B, L, L, B, L, B])
     r = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(A[:, basis] @ lu.solve(r), r, rtol=1e-14)
+    np.testing.assert_allclose(loop.A[:, loop.basis] @ loop.lu.solve(r), r, rtol=1e-14)
 
 
 def test_left_over_artificial_gives_its_place_to_its_slack():
